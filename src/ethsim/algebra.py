@@ -116,16 +116,6 @@ def span_equal(a: StarAlgebra, b: StarAlgebra, tol: float = MEMBER_TOL) -> bool:
     )
 
 
-def span_distance(a: StarAlgebra, b: StarAlgebra) -> float:
-    """Largest HS distance of a basis element of either span from the other."""
-    d = 0.0
-    for x in a.basis:
-        d = max(d, hs_norm(x - b.project(x)))
-    for x in b.basis:
-        d = max(d, hs_norm(x - a.project(x)))
-    return d
-
-
 def generate_algebra(
     generators, ambient_dim: int, rel_tol: float = SVD_TOL
 ) -> StarAlgebra:

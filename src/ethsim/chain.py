@@ -29,11 +29,10 @@ import numpy as np
 from . import algebra as alg
 from .algebra import StarAlgebra
 from .errors import DimensionMismatch, OutOfRange, ValidationError
-from .linalg import freeze, kron_all, operator_norm, partial_trace
+from .linalg import CLUSTER_TOL, freeze, kron_all, operator_norm, partial_trace
 from .states import EventDetection, State, _order_event
 
 DIMENSION_CAP = 4096
-CLUSTER_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -5,42 +5,24 @@
 
 Commands: simulate, tree, verify, ndm, jumps, epr-demo.  Traces are
 line-delimited JSON records, summaries are CSV.  Exit codes: 0 ok, 1 error,
-2 verification failure.  ETHSIM_THREADS caps the Monte Carlo fan-out.
+2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import histories as hist
 from . import indirect
 from .algebra import commutant, span_equal
-from .errors import EthsimError
+from .errors import EthsimError, ValidationError
 from .scenario import Scenario, build_model, build_ndm, resolve_scenario
 from .states import detect_event
 from .trace import TraceRecord, json_line
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ETHSIM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_runs(fn, args_list):
-    """Order-preserving fan-out over independent runs."""
-    threads = _thread_count()
-    if threads == 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, args_list))
 
 
 def _write_lines(path, lines):
@@ -94,10 +76,10 @@ def cmd_simulate(scn: Scenario, args) -> int:
     runs = args.runs if args.runs is not None else 1
     seed = args.seed if args.seed is not None else scn.seed
     seeds = np.random.SeedSequence(seed).generate_state(runs)
-    histories = _map_runs(
-        lambda s: hist.sample_history(model, seed=int(s), weight_eps=scn.thresholds.weight_eps),
-        list(seeds),
-    )
+    histories = [
+        hist.sample_history(model, seed=int(s), weight_eps=scn.thresholds.weight_eps)
+        for s in seeds
+    ]
     trace_lines = []
     csv_rows = []
     for r, h in enumerate(histories):
@@ -373,6 +355,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        for flag in ("runs", "steps"):
+            value = getattr(args, flag)
+            if value is not None and value < 1:
+                raise ValidationError(f"--{flag} must be >= 1, got {value}")
         scn = None
         if args.scenario:
             scn = resolve_scenario(args.scenario)

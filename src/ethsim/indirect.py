@@ -34,12 +34,9 @@ from .errors import (
     ValidationError,
 )
 from .chain import ChainModel, embed_system_probe, ground_density
-from .linalg import dagger, freeze, hermitian_eig, operator_norm, partial_trace
+from .linalg import CLUSTER_TOL, dagger, freeze, hermitian_eig, operator_norm, partial_trace
 from .recording import PhysicalQuantity
-from .states import State
-
-WEIGHT_EPS = 1e-8
-CLUSTER_TOL = 1e-8
+from .states import WEIGHT_EPS, State
 
 
 @dataclass(frozen=True)
@@ -83,6 +80,10 @@ class NdmScenario:
     weight_eps: float = WEIGHT_EPS
 
     def __post_init__(self):
+        if self.runs < 1:
+            raise ValidationError(f"runs must be >= 1, got {self.runs}")
+        if self.steps < 1:
+            raise ValidationError(f"steps must be >= 1, got {self.steps}")
         s, p = self.system_dim, self.probe_dim
         gate = np.asarray(self.gate, dtype=np.complex128)
         if gate.shape != (s * p, s * p):
@@ -140,19 +141,124 @@ class NdmScenario:
         return p
 
 
-def _spectral_branches(rho: np.ndarray, cluster_tol: float = CLUSTER_TOL):
-    """Clustered spectral sectors of a density matrix: (projections, weights)."""
-    vals, vecs = np.linalg.eigh((rho + dagger(rho)) / 2.0)
-    gap = cluster_tol * (1.0 + float(np.max(np.abs(vals))))
-    projections, weights = [], []
-    start = 0
-    for k in range(1, len(vals) + 1):
-        if k == len(vals) or vals[k] - vals[k - 1] > gap:
-            block = vecs[:, start:k]
-            projections.append(block @ block.conj().T)
-            weights.append(max(0.0, float(np.sum(vals[start:k]))))
-            start = k
-    return projections, weights
+# Uniforms pre-drawn per run and topped up in blocks of this size; a step
+# consumes at most two, so the buffer does not grow with the step count.
+DRAW_BLOCK = 64
+
+
+def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of each matrix in the stack ``a`` (R, m, m) with ``b`` (n, n)."""
+    r, m, n = a.shape[0], a.shape[1], b.shape[0]
+    return (a[:, :, None, :, None] * b[None, None, :, None, :]).reshape(r, m * n, m * n)
+
+
+def _inverse_cdf(weights: np.ndarray, u: np.ndarray, last: np.ndarray | int) -> np.ndarray:
+    """Per row, the first index whose running weight exceeds ``u``, or ``last``
+    when none does (``u`` rounded up to the total).
+
+    Weights are non-negative, so the running sums never decrease and the
+    first index past ``u`` is the number of running sums at or below it;
+    that index always carries positive weight.
+    """
+    passed = (weights.cumsum(axis=1) <= u[:, None]).sum(axis=1)
+    return np.minimum(passed, last)
+
+
+@dataclass
+class _Branches:
+    """Branch stage of one probe step for a stack of R system states.
+
+    The sectors are the clustered eigenspaces of the unconditional post-step
+    system state, in ascending eigenvalue order; ``labels`` gives each
+    eigenvector's sector, and sector slots past the last one weigh zero.
+    """
+
+    sigma: np.ndarray  # (R, sp, sp) joint state G (rho x probe) G*
+    rho_post: np.ndarray  # (R, s, s) unconditional post-step system state
+    vecs: np.ndarray  # (R, s, s) eigenvectors of rho_post
+    labels: np.ndarray  # (R, s) sector of each eigenvector
+    positive: np.ndarray  # (R, s) weight above weight_eps
+    weights: np.ndarray  # (R, s) sector weights, zero where not positive
+    branched: np.ndarray  # (R,) two or more positive sectors: a Born draw
+    trivial: np.ndarray  # (R,) one sector, the whole space: no event, no click
+
+    @property
+    def draws(self) -> np.ndarray:
+        """Uniforms each run consumes: one per branch draw, one per pointer draw."""
+        return self.branched.astype(np.intp) + ~self.trivial
+
+
+def _branch_stage(rho: np.ndarray, scn: NdmScenario) -> _Branches:
+    s, p = scn.system_dim, scn.probe_dim
+    sigma = scn.gate @ _kron_stack(rho, scn.probe_density) @ dagger(scn.gate)
+    rho_post = partial_trace(sigma, [s, p], keep=[0])
+    vals, vecs = np.linalg.eigh((rho_post + dagger(rho_post)) / 2.0)
+    gap = CLUSTER_TOL * (1.0 + np.abs(vals).max(axis=1))
+    labels = np.zeros(vals.shape, dtype=np.intp)
+    labels[:, 1:] = ((vals[:, 1:] - vals[:, :-1]) > gap[:, None]).cumsum(axis=1)
+    # (R, sector, eigenvector).  Adding the other sectors' zeros is exact, so
+    # each weight sums its sector's eigenvalues in ascending order, as
+    # np.sum over the sector's slice does (sequentially, below 8 terms)
+    slots = np.arange(s)
+    members = labels[:, None, :] == slots[:, None]
+    weights = np.maximum(np.where(members, vals[:, None, :], 0.0).sum(axis=2), 0.0)
+    positive = (weights > scn.weight_eps) & (slots <= labels[:, -1:])
+    return _Branches(
+        sigma=sigma,
+        rho_post=rho_post,
+        vecs=vecs,
+        labels=labels,
+        positive=positive,
+        weights=np.where(positive, weights, 0.0),
+        branched=positive.sum(axis=1) >= 2,
+        trivial=labels[:, -1] == 0,
+    )
+
+
+def _sector_projection(vecs: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Projection onto each run's member eigenvectors, a contiguous column range.
+
+    Runs sharing a range are stacked into one product with the same inner
+    dimension a lone run uses, so every projection keeps its bits.
+    """
+    first = members.argmax(axis=1)
+    size = members.sum(axis=1)
+    ranges = set(zip(first.tolist(), size.tolist()))
+    out = np.empty(vecs.shape, dtype=vecs.dtype)
+    for a, m in ranges:
+        runs = slice(None) if len(ranges) == 1 else np.flatnonzero((first == a) & (size == m))
+        block = vecs[runs, :, a : a + m]
+        out[runs] = block @ dagger(block)
+    return out
+
+
+def _collapse_stage(br: _Branches, scn: NdmScenario, u: np.ndarray):
+    """Born-choose a sector, collapse onto it and sample the pointer.
+
+    ``u`` holds each run's uniforms, (R, 2): column 0 feeds the branch draw,
+    column 1 the pointer draw; entries a run does not draw are ignored.
+    Returns the pointer values, the chosen sectors' weights and the
+    post-step system states.
+    """
+    s, p = scn.system_dim, scn.probe_dim
+    weights, positive = br.weights, br.positive
+    last_positive = s - 1 - positive[:, ::-1].argmax(axis=1)
+    born = _inverse_cdf(weights, u[:, 0] * weights.sum(axis=1), last_positive)
+    chosen = np.where(br.branched, born, positive.argmax(axis=1))
+    w = weights[np.arange(len(chosen)), chosen]
+    pi = _kron_stack(_sector_projection(br.vecs, br.labels == chosen[:, None]), np.eye(p))
+    sigma_branch = pi @ br.sigma @ pi / w[:, None, None]
+    q = np.asarray(scn.quantity.projections)
+    pointer = (sigma_branch[:, None] @ q[None]).trace(axis1=2, axis2=3).real.clip(0.0, None)
+    pointer /= pointer.sum(axis=1, keepdims=True)
+    eta = _inverse_cdf(pointer, u[:, 1], pointer.shape[1] - 1)
+    new_rho = partial_trace(sigma_branch, [s, p], keep=[0])
+    trivial = br.trivial
+    return (
+        np.where(trivial, 0, eta),
+        np.where(trivial, 1.0, w),
+        np.where(trivial[:, None, None], br.rho_post, new_rho),
+    )
 
 
 @dataclass
@@ -169,47 +275,20 @@ def _measurement_step(
     rng: np.random.Generator,
 ) -> StepOutcome:
     """One probe interaction: branch on the post-step system sectors, then
-    sample the pointer from the collapsed joint state."""
-    s, p = scn.system_dim, scn.probe_dim
-    sigma = scn.gate @ np.kron(rho_s, scn.probe_density) @ dagger(scn.gate)
-    rho_post = partial_trace(sigma, [s, p], keep=[0])
-    projections, weights = _spectral_branches(rho_post)
-    positive = [k for k, w in enumerate(weights) if w > scn.weight_eps]
-    if len(positive) == 1 and np.abs(projections[positive[0]] - np.eye(s)).max() < 1e-9:
-        # No sector structure at all: nothing happens, nothing clicks.
-        return StepOutcome(eta=0, branched=False, branch_weight=1.0, new_system=rho_post)
-    if len(positive) >= 2:
-        total = sum(weights[k] for k in positive)
-        u = rng.random() * total
-        acc = 0.0
-        chosen = positive[-1]
-        for k in positive:
-            acc += weights[k]
-            if u < acc:
-                chosen = k
-                break
-        branched = True
-    else:
-        chosen = positive[0]
-        branched = False
-    pi = projections[chosen]
-    w = weights[chosen]
-    sigma_branch = np.kron(pi, np.eye(p)) @ sigma @ np.kron(pi, np.eye(p)) / w
-    pointer = np.array(
-        [float(np.trace(sigma_branch @ q).real) for q in scn.quantity.projections]
+    sample the pointer from the collapsed joint state.  Draws from ``rng``
+    exactly the uniforms the step uses, branch draw first."""
+    br = _branch_stage(np.asarray(rho_s)[None], scn)
+    k = int(br.draws[0])
+    u = np.zeros((1, 2))
+    if k:
+        u[0, 2 - k :] = rng.random(k)
+    eta, weight, new_rho = _collapse_stage(br, scn, u)
+    return StepOutcome(
+        eta=int(eta[0]),
+        branched=bool(br.branched[0]),
+        branch_weight=float(weight[0]),
+        new_system=new_rho[0],
     )
-    pointer = np.clip(pointer, 0.0, None)
-    pointer /= pointer.sum()
-    u = rng.random()
-    acc = 0.0
-    eta = len(pointer) - 1
-    for k, q in enumerate(pointer):
-        acc += q
-        if u < acc:
-            eta = k
-            break
-    new_rho = partial_trace(sigma_branch, [s, p], keep=[0])
-    return StepOutcome(eta=eta, branched=branched, branch_weight=w, new_system=new_rho)
 
 
 def purification_metric(state: State, conserved: np.ndarray, system_dim: int | None = None) -> float:
@@ -223,10 +302,6 @@ def purification_metric(state: State, conserved: np.ndarray, system_dim: int | N
         rho = partial_trace(rho, [s, state.dim // s], keep=[0])
     best = max(float(np.trace(rho @ p).real) for p in hermitian_eig(a).projections)
     return 1.0 - best
-
-
-def _purification_of(rho_s: np.ndarray, sectors) -> float:
-    return 1.0 - max(float(np.trace(rho_s @ p).real) for p in sectors)
 
 
 @dataclass
@@ -264,42 +339,72 @@ def classify_frequencies(freq: np.ndarray, p_exact: np.ndarray, prev: int | None
     return best
 
 
+def _ndm_runs(
+    scn: NdmScenario,
+    seeds,
+    steps: int,
+    p_exact: np.ndarray,
+    collect_purification: bool = True,
+) -> list[NdmRun]:
+    """Independent runs advanced together, one stacked probe step at a time.
+
+    Run r draws its uniforms from ``default_rng(seeds[r])`` in the order a
+    lone run would, so every run is the one ``run_ndm_protocol`` returns.
+    """
+    n_runs, s = len(seeds), scn.system_dim
+    sectors = np.asarray(scn.sector_projections)
+    a = np.asarray(scn.conserved)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    uniforms = np.stack([g.random(DRAW_BLOCK) for g in rngs])
+    cursor = np.zeros(n_runs, dtype=np.intp)
+    rows = np.arange(n_runs)
+    rho = np.broadcast_to(np.asarray(scn.initial_system.density), (n_runs, s, s))
+    values = np.zeros((n_runs, steps), dtype=np.intp)
+    branched = np.zeros((n_runs, steps), dtype=bool)
+    purif = np.zeros((n_runs, steps if collect_purification else 0))
+    a_expect = np.zeros_like(purif)
+    for j in range(steps):
+        for r in np.flatnonzero(cursor > DRAW_BLOCK - 2):
+            used = cursor[r]
+            uniforms[r, : DRAW_BLOCK - used] = uniforms[r, used:]
+            uniforms[r, DRAW_BLOCK - used :] = rngs[r].random(used)
+            cursor[r] = 0
+        br = _branch_stage(rho, scn)
+        k = br.draws
+        u = np.stack([uniforms[rows, cursor], uniforms[rows, cursor + k - 1]], axis=1)
+        cursor += k
+        values[:, j], _, rho = _collapse_stage(br, scn, u)
+        branched[:, j] = br.branched
+        if collect_purification:
+            in_sector = np.trace(rho[:, None] @ sectors[None], axis1=2, axis2=3).real
+            purif[:, j] = 1.0 - in_sector.max(axis=1)
+            a_expect[:, j] = np.trace(rho @ a, axis1=1, axis2=2).real
+    times = tuple(range(1, steps + 1))
+    runs = []
+    for r, seed in enumerate(seeds):
+        protocol = MeasurementProtocol(tuple(values[r].tolist()), times, seed)
+        freq = np.array([float(f) for f in frequencies(protocol, scn.quantity.size - 1)])
+        branch_steps = tuple((np.flatnonzero(branched[r]) + 1).tolist())
+        runs.append(
+            NdmRun(
+                protocol=protocol,
+                first_event_step=branch_steps[0] if branch_steps else None,
+                branch_steps=branch_steps,
+                purification=purif[r],
+                conserved_expectation=a_expect[r],
+                classified=classify_frequencies(freq, p_exact),
+            )
+        )
+    return runs
+
+
 def run_ndm_protocol(
     scn: NdmScenario, seed: int, steps: int | None = None, collect_purification: bool = True
 ) -> NdmRun:
     """One full indirect-measurement run of ``steps`` probe interactions."""
     steps = scn.steps if steps is None else steps
-    rng = np.random.default_rng(seed)
-    sectors = scn.sector_projections
-    a = np.asarray(scn.conserved)
-    rho = np.asarray(scn.initial_system.density)
-    values, purif, a_expect, branch_steps = [], [], [], []
-    first_event = None
-    for j in range(1, steps + 1):
-        out = _measurement_step(rho, scn, rng)
-        rho = out.new_system
-        values.append(out.eta)
-        if out.branched:
-            branch_steps.append(j)
-            if first_event is None:
-                first_event = j
-        if collect_purification:
-            purif.append(_purification_of(rho, sectors))
-            a_expect.append(float(np.trace(rho @ a).real))
-    protocol = MeasurementProtocol(tuple(values), tuple(range(1, steps + 1)), seed)
-    freq = np.array(
-        [float(f) for f in frequencies(protocol, scn.quantity.size - 1)]
-    )
     p_exact = scn.exact_pointer_distributions()
-    classified = classify_frequencies(freq, p_exact)
-    return NdmRun(
-        protocol=protocol,
-        first_event_step=first_event,
-        branch_steps=tuple(branch_steps),
-        purification=np.array(purif),
-        conserved_expectation=np.array(a_expect),
-        classified=classified,
-    )
+    return _ndm_runs(scn, [seed], steps, p_exact, collect_purification)[0]
 
 
 def ndm_experiment(
@@ -312,6 +417,8 @@ def ndm_experiment(
     Reports per-run convergence curves (for the first ``curve_samples`` runs),
     the empirical distribution of classified sectors, the exact Born weights
     of the sectors for comparison, and per-run purification trajectories.
+    All runs advance as one batch; run r is ``run_ndm_protocol`` with the
+    r-th seed spawned from ``master_seed``.
     """
     p_exact = scn.check_separation()
     sectors = scn.sector_projections
@@ -319,12 +426,10 @@ def ndm_experiment(
         [float(np.trace(scn.initial_system.density @ p).real) for p in sectors]
     )
     seeds = np.random.SeedSequence(master_seed).generate_state(scn.runs)
-    runs = []
+    runs = _ndm_runs(scn, [int(seed) for seed in seeds], scn.steps, p_exact)
     counts = np.zeros(len(sectors), dtype=np.int64)
     curves = []
-    for r in range(scn.runs):
-        run = run_ndm_protocol(scn, int(seeds[r]))
-        runs.append(run)
+    for r, run in enumerate(runs):
         counts[run.classified] += 1
         if r < curve_samples:
             vals = np.array(run.protocol.values)

@@ -9,6 +9,7 @@ depend on the overall size of a scenario.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,8 @@ def as_operator(entries, dim: int | None = None) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -159,18 +161,24 @@ def embed_site_operator(op: np.ndarray, site: int, site_dims) -> np.ndarray:
 
 
 def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
-    """Trace out all factors except ``keep`` (indices into ``dims``, order kept)."""
+    """Trace out all factors except ``keep`` (indices into ``dims``, order kept).
+
+    ``rho`` is one matrix or a stack of them (leading axes are kept).
+    """
     dims = list(dims)
     keep = sorted(keep)
     n = len(dims)
-    reshaped = np.asarray(rho).reshape(dims + dims)
+    rho = np.asarray(rho)
+    batch = list(rho.shape[:-2])
     # einsum label layout: row axes 0..n-1, column axes n..2n-1
     row = list(range(n))
     col = [i + n if i in keep else i for i in range(n)]
-    out_labels = [i for i in keep] + [i + n for i in keep]
-    out = np.einsum(reshaped, row + col, out_labels)
-    d = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return out.reshape(d, d)
+    out_labels = keep + [i + n for i in keep]
+    out = np.einsum(
+        rho.reshape(batch + dims + dims), [Ellipsis, *row, *col], [Ellipsis, *out_labels]
+    )
+    d = math.prod(dims[i] for i in keep)
+    return out.reshape(batch + [d, d])
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

@@ -142,6 +142,12 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     thr.update({k: float(v) for k, v in raw_thr.items()})
     jumps = doc.get("jumps", {})
     _reject_unknown(jumps, _JUMPS_KEYS, "jumps")
+    runs = int(doc.get("runs", 100))
+    if runs < 1:
+        raise ValidationError("runs must be >= 1")
+    steps = int(doc["steps"]) if "steps" in doc else None
+    if steps is not None and steps < 1:
+        raise ValidationError("steps must be >= 1")
     return Scenario(
         name=str(doc["name"]),
         system_dim=s,
@@ -153,8 +159,8 @@ def parse_scenario_dict(doc: dict) -> Scenario:
         conserved=conserved,
         thresholds=Thresholds(**thr),
         seed=int(doc.get("seed", 0)),
-        runs=int(doc.get("runs", 100)),
-        steps=int(doc["steps"]) if "steps" in doc else None,
+        runs=runs,
+        steps=steps,
         jumps=dict(jumps),
         theta_filter=float(doc.get("theta_filter", 0.0)),
     )

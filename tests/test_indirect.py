@@ -13,6 +13,7 @@ from ethsim.errors import (
     ValidationError,
 )
 from ethsim.indirect import (
+    DRAW_BLOCK,
     MeasurementProtocol,
     NdmScenario,
     frequencies,
@@ -22,6 +23,9 @@ from ethsim.indirect import (
     run_protocol,
     sector_transition_matrix,
     weak_measurement_trajectory,
+    _branch_stage,
+    _collapse_stage,
+    _measurement_step,
 )
 from ethsim.linalg import SIGMA_Z
 from ethsim.recording import probe_pointer_quantity
@@ -96,6 +100,15 @@ class TestScenarioValidation:
         s2, c2 = np.sin(phi / 2) ** 2, np.cos(phi / 2) ** 2
         np.testing.assert_allclose(p[1], [c2, s2], atol=1e-12)
         np.testing.assert_allclose(p[0], [s2, c2], atol=1e-12)
+
+    @pytest.mark.parametrize("runs, steps", [(0, 5), (-1, 5), (3, 0), (3, -2)])
+    def test_non_positive_runs_or_steps_rejected(self, runs, steps):
+        gate = build_gate("cnot", 2, 2)
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            NdmScenario(
+                2, 2, gate, np.array(SIGMA_Z), probe_pointer_quantity(2, 2),
+                system_state(), runs=runs, steps=steps,
+            )
 
     def test_separation_failure(self):
         gate = build_gate("identity", 2, 2)
@@ -313,3 +326,74 @@ class TestConservationAlongRuns:
             after_uncond = float(np.trace(rho_uncond @ a).real)
             assert abs(after_uncond - before) < 1e-10
             rho = out.new_system
+
+
+class TestBatchedKernel:
+    """All runs of an experiment advance as one stack; each must be the run a
+    lone ``run_ndm_protocol`` call with its seed gives, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "theta, readout_phi",
+        [(THETA, None), (THETA, 0.3), (THETA, 1.0), (0.0, None), (0.0, 0.3), (math.pi / 4, 0.3)],
+    )
+    def test_experiment_runs_equal_lone_runs(self, theta, readout_phi):
+        scn = cnot_scenario(theta=theta, runs=12, steps=30, readout_phi=readout_phi)
+        report = ndm_experiment(scn, master_seed=4)
+        seeds = np.random.SeedSequence(4).generate_state(scn.runs)
+        for run, seed in zip(report.runs, seeds):
+            lone = run_ndm_protocol(scn, int(seed))
+            assert run.protocol == lone.protocol
+            assert run.classified == lone.classified
+            assert run.first_event_step == lone.first_event_step
+            assert run.branch_steps == lone.branch_steps
+            assert np.array_equal(run.purification, lone.purification)
+            assert np.array_equal(run.conserved_expectation, lone.conserved_expectation)
+
+    def test_mixed_stack_rows_equal_lone_steps(self):
+        # rows that branch at step 1 (superposition), never branch (the
+        # theta=0 eigenstate) and have no sector structure (maximally mixed)
+        scn = cnot_scenario(readout_phi=0.3)
+        starts = [
+            np.asarray(system_state(THETA).density),
+            np.asarray(system_state(0.0).density),
+            np.eye(2, dtype=complex) / 2,
+            np.asarray(system_state(THETA).density),
+        ]
+        rngs = [np.random.default_rng(seed) for seed in range(len(starts))]
+        lone_rngs = [np.random.default_rng(seed) for seed in range(len(starts))]
+        rho, lone = np.stack(starts), list(starts)
+        for step in range(12):
+            br = _branch_stage(rho, scn)
+            if step == 0:
+                assert br.branched.tolist() == [True, False, False, True]
+                assert br.draws.tolist() == [2, 1, 0, 2]
+            u = np.zeros((len(starts), 2))
+            for r, k in enumerate(br.draws):
+                if k:
+                    u[r, 2 - k :] = rngs[r].random(k)
+            eta, weight, rho = _collapse_stage(br, scn, u)
+            for r in range(len(starts)):
+                out = _measurement_step(lone[r], scn, lone_rngs[r])
+                assert out.eta == eta[r]
+                assert out.branched == br.branched[r]
+                assert out.branch_weight == weight[r]
+                assert np.array_equal(out.new_system, rho[r])
+                lone[r] = out.new_system
+        for a, b in zip(rngs, lone_rngs):
+            assert a.random() == b.random()
+
+    def test_draw_buffer_refills_without_moving_draws(self):
+        # steps far beyond one uniform block: the refilled buffer must keep
+        # serving each run the doubles its own generator would
+        scn = cnot_scenario(readout_phi=0.3, runs=3, steps=3 * DRAW_BLOCK)
+        report = ndm_experiment(scn, master_seed=9)
+        seeds = np.random.SeedSequence(9).generate_state(scn.runs)
+        for run, seed in zip(report.runs, seeds):
+            rng = np.random.default_rng(int(seed))
+            rho = np.asarray(scn.initial_system.density)
+            values = []
+            for _ in range(scn.steps):
+                out = _measurement_step(rho, scn, rng)
+                values.append(out.eta)
+                rho = out.new_system
+            assert run.protocol.values == tuple(values)

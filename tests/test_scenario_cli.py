@@ -43,6 +43,11 @@ class TestParsing:
         with pytest.raises(ValidationError, match="cap"):
             parse_scenario_dict(doc)
 
+    @pytest.mark.parametrize("key, value", [("runs", 0), ("runs", -3), ("steps", 0)])
+    def test_non_positive_runs_or_steps_rejected(self, key, value):
+        with pytest.raises(ValidationError, match=f"{key} must be >= 1"):
+            parse_scenario_dict(dict(MINIMAL, **{key: value}))
+
     def test_unknown_key_rejected(self):
         doc = dict(MINIMAL, flux_capacitor=1)
         with pytest.raises(ValidationError, match="unknown keys"):
@@ -188,12 +193,21 @@ class TestCliCommands:
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
-    def test_thread_env_keeps_results(self, tmp_path, monkeypatch):
-        t1, t2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        main(["simulate", "--scenario", "cnot", "--runs", "4", "--trace", str(t1)])
-        monkeypatch.setenv("ETHSIM_THREADS", "4")
-        main(["simulate", "--scenario", "cnot", "--runs", "4", "--trace", str(t2)])
-        assert t1.read_bytes() == t2.read_bytes()
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ndm", "--scenario", "ndm", "--runs", "-1"],
+            ["ndm", "--scenario", "ndm", "--runs", "0"],
+            ["ndm", "--scenario", "ndm", "--steps", "0"],
+            ["simulate", "--scenario", "cnot", "--runs", "-2"],
+            ["jumps", "--scenario", "jumps", "--steps", "-5"],
+        ],
+    )
+    def test_non_positive_runs_or_steps_rejected(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --") and "must be >= 1" in captured.err
+        assert captured.out == ""
 
 
 class TestTraceFormat:
