@@ -46,10 +46,14 @@ def orthonormalize(mats, ambient_dim: int, rel_tol: float = SVD_TOL) -> np.ndarr
 
 
 def _null_columns(mat: np.ndarray, rel_tol: float = SVD_TOL) -> np.ndarray:
-    """Orthonormal columns spanning the right null space of ``mat``."""
+    """Orthonormal columns spanning the right null space of ``mat``.
+
+    Only ``vh`` is read, so ``U`` is never formed in full.  A wide input keeps
+    the full ``vh``: its null space lies in the rows beyond ``min(m, n)``.
+    """
     if mat.shape[0] == 0:
         return np.eye(mat.shape[1], dtype=np.complex128)
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     thr = _svd_threshold(s, rel_tol)
     rank = int(np.sum(s > thr))
     return vh[rank:].conj().T
@@ -106,14 +110,24 @@ def contains(algebra: StarAlgebra, x: np.ndarray, tol: float = MEMBER_TOL) -> bo
     return hs_norm(x - algebra.project(x)) <= tol * (1.0 + hs_norm(x))
 
 
+def includes(outer: StarAlgebra, inner: StarAlgebra, tol: float = MEMBER_TOL) -> bool:
+    """``contains(outer, x, tol)`` for every basis element x of ``inner``.
+
+    All elements are projected onto ``outer`` with one matrix product.
+    """
+    if outer.ambient_dim != inner.ambient_dim:
+        raise DimensionMismatch("ambient dimensions differ")
+    x = inner.stack
+    residual = np.linalg.norm(x - (x @ outer.stack.conj().T) @ outer.stack, axis=1)
+    return bool(np.all(residual <= tol * (1.0 + np.linalg.norm(x, axis=1))))
+
+
 def span_equal(a: StarAlgebra, b: StarAlgebra, tol: float = MEMBER_TOL) -> bool:
     if a.ambient_dim != b.ambient_dim:
         return False
     if a.dim != b.dim:
         return False
-    return all(contains(b, x, tol) for x in a.basis) and all(
-        contains(a, x, tol) for x in b.basis
-    )
+    return includes(b, a, tol) and includes(a, b, tol)
 
 
 def generate_algebra(
@@ -194,6 +208,11 @@ def commutant(algebra: StarAlgebra, rel_tol: float = SVD_TOL) -> StarAlgebra:
         if len(current) == 0:
             break
         comms = current @ b - b @ current
+        # The Frobenius norm bounds the largest singular value s0, so here
+        # s0 <= rel_tol <= rel_tol * (1 + s0): the SVD below would find rank 0
+        # and keep every column.  Skipping it changes no basis.
+        if np.linalg.norm(comms) <= rel_tol:
+            continue
         mat = comms.reshape(len(current), d * d).T
         cols = _null_columns(mat, rel_tol)
         if cols.shape[1] == len(current):

@@ -346,14 +346,13 @@ class ChainModel:
         steps = []
         for t in range(self.horizon):
             outer, inner = snaps[t].algebra, snaps[t + 1].algebra
-            inclusion = all(alg.contains(outer, b, member_tol) for b in inner.basis)
             rel = alg.relative_commutant(inner, outer)
             steps.append(
                 NestingStep(
                     t=t,
                     dim_before=outer.dim,
                     dim_after=inner.dim,
-                    inclusion_ok=inclusion,
+                    inclusion_ok=alg.includes(outer, inner, member_tol),
                     strict=inner.dim < outer.dim,
                     relative_commutant_dim=rel.dim,
                 )

@@ -173,12 +173,10 @@ def cmd_verify(scn: Scenario, args) -> int:
             assert gen.incoherence_residual <= 1e-8, "incoherent superposition violated"
 
     def tree_probability():
-        tree = hist.enumerate_tree(model, weight_eps=scn.thresholds.weight_eps)
         for d, total in enumerate(tree.depth_weights()):
             assert abs(total - 1.0) <= 1e-9, f"depth {d} mass {total}"
 
     def path_measure():
-        tree = hist.enumerate_tree(model, weight_eps=scn.thresholds.weight_eps)
         for path in tree.step_paths():
             mu = hist.history_measure(model.initial_state, [s[2] for s in path])
             w = 1.0
@@ -187,7 +185,6 @@ def cmd_verify(scn: Scenario, args) -> int:
             assert abs(mu - w) <= 1e-10, f"mu {mu} vs path weight {w}"
 
     def sum_rule():
-        tree = hist.enumerate_tree(model, weight_eps=scn.thresholds.weight_eps)
         dev = hist.check_sum_rule(tree, model.initial_state)
         assert dev <= 1e-9, f"deviation {dev}"
         rng = np.random.default_rng(scn.seed)
@@ -199,7 +196,6 @@ def cmd_verify(scn: Scenario, args) -> int:
         assert dev <= 1e-9, f"conditioned deviation {dev}"
 
     def entropies():
-        tree = hist.enumerate_tree(model, weight_eps=scn.thresholds.weight_eps)
         for n in range(1, model.horizon + 1):
             s_n = hist.relative_entropy_vs_reversed(model.initial_state, tree, n)
             assert s_n >= -1e-9, f"S_{n} = {s_n}"
@@ -217,6 +213,8 @@ def cmd_verify(scn: Scenario, args) -> int:
 
     suite("filtration-nesting", filtration)
     suite("detection-agreement", detection_agreement)
+    # one tree shared by the four suites below; none of them changes it
+    tree = hist.enumerate_tree(model, weight_eps=scn.thresholds.weight_eps)
     suite("tree-total-probability", tree_probability)
     suite("path-measure-consistency", path_measure)
     suite("marginalization-sum-rule", sum_rule)

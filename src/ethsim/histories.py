@@ -35,6 +35,7 @@ from .chain import (
 from .errors import DepthExceeded, OutOfRange, TreeTooLarge
 from .linalg import SIGMA_X, SIGMA_Z, embed_site_operator, kron_all
 from .states import (
+    WEIGHT_EPS,
     EventDetection,
     State,
     collapse,
@@ -42,8 +43,6 @@ from .states import (
     incoherence_residual,
 )
 from .trace import fingerprint
-
-WEIGHT_EPS = 1e-8
 
 
 def _detect(
@@ -214,20 +213,24 @@ class HistoryTree:
         dim = self.root.state.dim
         eye = np.eye(dim, dtype=np.complex128)
 
-        def walk(node, acc):
+        # depth-first with an explicit stack; children are pushed in reverse
+        # so paths come out in the children's insertion order
+        stack = [(self.root, [])]
+        while stack:
+            node, acc = stack.pop()
             if not node.children:
                 paths.append(acc)
-                return
+                continue
             if node.event is None:
                 child = next(iter(node.children.values()))
-                walk(child, acc + [(node.t + 1, None, eye, 1.0)])
-                return
+                stack.append((child, acc + [(node.t + 1, None, eye, 1.0)]))
+                continue
+            branches = []
             for label, child in node.children.items():
                 k = node.event.labels.index(label)
                 step = (node.t + 1, label, node.event.projections[k], node.weights[k])
-                walk(child, acc + [step])
-
-        walk(self.root, [])
+                branches.append((child, acc + [step]))
+            stack.extend(reversed(branches))
         return paths
 
     @property
@@ -294,7 +297,12 @@ def enumerate_tree(
 
     root = TreeNode(t=0, state=model.initial_state, path_weight=1.0)
     count = 1
-    expand(root)
+    try:
+        expand(root)
+    finally:
+        # expand refers to itself through its closure; clearing the name
+        # breaks that cycle so the model is freed without a gc pass
+        del expand
     return HistoryTree(root, horizon, prune_eps, pruned, count)
 
 

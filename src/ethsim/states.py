@@ -177,7 +177,7 @@ def _product_closed(sub: StarAlgebra, tol: float = alg.MEMBER_TOL) -> bool:
     chunk = max(1, (1 << 22) // max(1, k * basis.shape[1] ** 2))
     for start in range(0, k, chunk):
         left = basis[start : start + chunk]
-        prods = np.einsum("aij,bjk->abik", left, basis).reshape(len(left) * k, -1)
+        prods = (left[:, None] @ basis[None]).reshape(len(left) * k, -1)
         proj = (sub.stack.conj() @ prods.T).T @ sub.stack
         if float(np.abs(prods - proj).max()) > tol:
             return False
@@ -240,16 +240,18 @@ def _order_event(projections, weights, t: int) -> tuple[EventFamily, tuple[float
 
 
 def incoherence_residual(omega: State, m: StarAlgebra, event: EventFamily) -> float:
-    """max over basis X of |omega(X) - sum_xi omega(pi_xi X pi_xi)|."""
+    """max over basis X of |omega(X) - sum_xi omega(pi_xi X pi_xi)|.
+
+    omega(X) - sum_xi omega(pi_xi X pi_xi) = tr(D X) with
+    D = Omega - sum_xi pi_xi Omega pi_xi, so D is formed once for the basis.
+    """
+    if m.dim == 0:
+        return 0.0
     rho = omega.density
-    worst = 0.0
-    for x in m.basis:
-        direct = np.trace(rho @ x)
-        diag = sum(
-            np.trace(rho @ (p @ x @ p)) for p in event.projections
-        )
-        worst = max(worst, abs(direct - diag) / (1.0 + operator_norm(x)))
-    return float(worst)
+    dephased = rho - sum(p @ rho @ p for p in event.projections)
+    gaps = np.abs(m.stack @ dephased.T.reshape(-1))
+    norms = np.linalg.norm(m.tensor, 2, axis=(1, 2))
+    return float(np.max(gaps / (1.0 + norms)))
 
 
 def detect_event(

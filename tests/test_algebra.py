@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from ethsim import algebra as alg
 from ethsim.algebra import (
     center,
     commutant,
     contains,
     full_matrix_algebra,
     generate_algebra,
+    includes,
     intersect_spans,
     minimal_projections,
     minimal_projections_retry,
@@ -119,6 +121,37 @@ class TestCommutant:
             for x in oracle:
                 assert contains(c, x, 1e-8)
 
+    def test_zero_commutator_blocks_skip_the_svd(self, monkeypatch):
+        # Abelian algebras (one Hermitian generator) make every commutator
+        # block vanish; random algebras make most of them vanish once the
+        # commutant has shrunk.  The result must still match the oracle.
+        calls = []
+        real = alg._null_columns
+
+        def counted(mat, rel_tol=alg.SVD_TOL):
+            calls.append(mat.shape)
+            return real(mat, rel_tol)
+
+        monkeypatch.setattr(alg, "_null_columns", counted)
+        rng = np.random.default_rng(33)
+        algebras = []
+        for dim in (3, 5):
+            h = rng.standard_normal((dim, dim))
+            algebras.append(generate_algebra([h + h.T], dim))
+        algebras += [random_generated_algebra(rng) for _ in range(4)]
+        for a in algebras:
+            calls.clear()
+            c = commutant(a)
+            oracle = stacked_commutator_null_space(a)
+            assert c.dim == len(oracle)
+            for x in oracle:
+                assert contains(c, x, 1e-8)
+            assert len(calls) < a.dim + 1  # one SVD per element without the skip
+        for a in algebras[:2]:
+            calls.clear()
+            commutant(a)
+            assert calls == []
+
     def test_double_commutant(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -230,3 +263,43 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             contains(full_matrix_algebra(2), np.eye(3, dtype=complex))
+
+    def test_includes_matches_elementwise_contains(self):
+        rng = np.random.default_rng(12)
+        seen = set()
+        for _ in range(10):
+            a = random_generated_algebra(rng, dim=4)
+            b = random_generated_algebra(rng, dim=4)
+            for outer, inner in ((a, b), (b, a), (a, center(a)), (center(a), a)):
+                expect = all(contains(outer, x) for x in inner.basis)
+                assert includes(outer, inner) == expect
+                seen.add(expect)
+        assert seen == {True, False}
+        with pytest.raises(DimensionMismatch):
+            includes(full_matrix_algebra(2), full_matrix_algebra(3))
+
+
+class TestNullColumns:
+    @staticmethod
+    def full_svd_null(mat):
+        _, s, vh = np.linalg.svd(mat, full_matrices=True)
+        rank = int(np.sum(s > alg._svd_threshold(s, alg.SVD_TOL)))
+        return vh[rank:].conj().T
+
+    @pytest.mark.parametrize(
+        "rows, cols, rank",
+        [(40, 6, 6), (40, 6, 3), (7, 7, 7), (7, 7, 4), (3, 9, 3), (5, 9, 2), (16, 1, 0)],
+    )
+    def test_matches_full_svd(self, rows, cols, rank):
+        rng = np.random.default_rng(rows * 100 + cols * 10 + rank)
+        left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+        right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+        mat = left @ right
+        got = alg._null_columns(mat)
+        ref = self.full_svd_null(mat)
+        assert got.shape == ref.shape == (cols, cols - rank)
+        np.testing.assert_allclose(got.conj().T @ got, np.eye(cols - rank), atol=1e-12)
+        np.testing.assert_allclose(mat @ got, 0.0, atol=1e-9)
+        np.testing.assert_allclose(
+            got @ got.conj().T, ref @ ref.conj().T, atol=1e-12
+        )

@@ -4,6 +4,7 @@ import pytest
 from ethsim.algebra import contains
 from ethsim.chain import (
     ChainModel,
+    FiltrationSnapshot,
     build_gate,
     chain_initial_state,
     gate_cnot,
@@ -123,6 +124,16 @@ class TestFiltration:
         assert rep.all_ok
         assert rep.dims == (256, 64, 16, 4)
         assert all(s.relative_commutant_dim == 4 for s in rep.steps)
+
+    def test_nesting_report_flags_a_missing_inclusion(self):
+        m = cnot_model(horizon=3)
+        e1, e2 = m.algebra_at(1).algebra, m.algebra_at(2).algebra
+        m._algebra_cache[1] = FiltrationSnapshot(1, e2)
+        m._algebra_cache[2] = FiltrationSnapshot(2, e1)
+        rep = m.nesting_report()
+        assert [s.inclusion_ok for s in rep.steps] == [True, False, True]
+        assert not all(contains(e2, b, 1e-8) for b in e1.basis)
+        assert not rep.all_ok
 
     def test_covariance_against_trivial_model(self):
         # E(t) equals the propagator conjugate of the trivial-dynamics algebra

@@ -1,9 +1,12 @@
 import csv
+import gc
 import json
 
 import numpy as np
 import pytest
 
+from ethsim.algebra import StarAlgebra
+from ethsim.chain import ChainModel
 from ethsim.cli import main
 from ethsim.errors import ParseError, ValidationError
 from ethsim.scenario import (
@@ -133,10 +136,32 @@ class TestCliCommands:
         assert abs(total - 1.0) < 1e-9
 
     def test_verify_ok(self, capsys):
-        assert main(["verify", "--scenario", "cnot"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 8
-        assert "FAIL" not in out
+        for name in ("cnot", "cnot_t4"):
+            assert main(["verify", "--scenario", name]) == 0
+            out = capsys.readouterr().out
+            assert out.count("PASS") == 8
+            assert "FAIL" not in out
+
+    def test_verify_frees_its_model_without_gc(self, capsys):
+        # Reference cycles would keep the model and its cached future
+        # algebras alive until a full collection; DEBUG_SAVEALL keeps every
+        # object such a collection finds so the test can look at them.
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(["verify", "--scenario", "cnot"]) == 0
+            gc.collect()
+            leaked = [
+                type(o).__name__
+                for o in gc.garbage
+                if isinstance(o, (StarAlgebra, ChainModel))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []
 
     def test_verify_all_bundled(self):
         for name in ("commuting", "partial_swap"):

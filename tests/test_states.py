@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from ethsim import states
 from ethsim.algebra import (
     center,
     contains,
+    from_span,
     full_matrix_algebra,
     generate_algebra,
     scalar_algebra,
@@ -15,7 +17,14 @@ from ethsim.errors import (
     NotMember,
     ZeroProbability,
 )
-from ethsim.linalg import SIGMA_X, SIGMA_Z, operator_norm, random_density
+from ethsim.linalg import (
+    SIGMA_X,
+    SIGMA_Z,
+    embed_site_operator,
+    operator_norm,
+    random_density,
+)
+from ethsim.scenario import build_model, resolve_scenario
 from ethsim.states import (
     EventFamily,
     State,
@@ -155,6 +164,59 @@ class TestCenterOfCentralizer:
             z_omega = center_of_centralizer(omega, m)
             for b in zm.basis:
                 assert contains(z_omega, b, 1e-8)
+
+
+class TestClosureRepair:
+    @pytest.mark.parametrize("qubits", [2, 4])
+    def test_outer_sigma_x_span_shrinks_to_scalars(self, qubits):
+        # span{1, sx (x) 1.., ..1 (x) sx} is *-closed but holds neither
+        # product sx (x) .. (x) sx, so only the scalars survive the repair
+        dims = [2] * qubits
+        d = 2**qubits
+        sub = from_span(
+            [
+                np.eye(d, dtype=complex),
+                embed_site_operator(SIGMA_X, 0, dims),
+                embed_site_operator(SIGMA_X, qubits - 1, dims),
+            ],
+            d,
+        )
+        assert sub.dim == 3
+        assert not states._product_closed(sub)
+        closed = states._largest_closed_subspace(sub)
+        assert closed.dim == 1
+        assert span_equal(closed, scalar_algebra(d))
+
+
+class TestIncoherenceResidual:
+    @staticmethod
+    def basis_loop(omega, m, event):
+        rho = omega.density
+        worst = 0.0
+        for x in m.basis:
+            direct = np.trace(rho @ x)
+            diag = sum(np.trace(rho @ (p @ x @ p)) for p in event.projections)
+            worst = max(worst, abs(direct - diag) / (1.0 + operator_norm(x)))
+        return worst
+
+    def test_matches_basis_loop_on_cnot_events(self):
+        model = build_model(resolve_scenario("cnot"))
+        omega = model.initial_state
+        rng = np.random.default_rng(41)
+        h = rng.standard_normal((model.dim, model.dim))
+        _, vecs = np.linalg.eigh(h + h.T)
+        tilted = EventFamily(
+            tuple(np.outer(v, v.conj()) for v in vecs.T),
+            tuple(f"k{k}" for k in range(model.dim)),
+        )
+        for t in range(1, model.horizon + 1):
+            m = model.algebra_at(t).algebra
+            event = model.detect_event_reduced(omega, t).event
+            for family in (event, tilted):
+                got = states.incoherence_residual(omega, m, family)
+                assert abs(got - self.basis_loop(omega, m, family)) <= 1e-15
+            # a family the state does not commute with leaves a residual
+            assert states.incoherence_residual(omega, m, tilted) > 1e-3
 
 
 class TestDetectEvent:
