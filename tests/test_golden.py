@@ -1,8 +1,11 @@
-"""Golden outputs: SHA-256 digests of CLI outputs pinned before the NDM runs
-were batched.  Batching changed how the runs are computed, not what they
-are, so these files must stay byte-identical.  The digests depend on the
-exact floating-point results of NumPy and its BLAS (the CSV prints the
-purification metric to 17 digits).
+"""Golden outputs: SHA-256 digests of CLI outputs.
+
+``GOLDEN`` was pinned before the NDM runs were batched, ``CHAIN_GOLDEN``
+before the clustering and Born-draw rules were merged into one function each.
+Both changes altered how outputs are computed, not what they are, so these
+files must stay byte-identical.  The digests depend on the exact
+floating-point results of NumPy and its BLAS (CSVs and traces print weights
+and the purification metric to 17 digits).
 """
 
 import hashlib
@@ -30,6 +33,88 @@ GOLDEN = {
 }
 
 
+# (command, scenario) -> digests of the --out CSV, the --trace JSONL and
+# stdout; None where the command writes no such file.  simulate runs 50
+# histories from the scenario's seed.
+CHAIN_GOLDEN = {
+    ("simulate", "cnot"): (
+        "8b0b0204a89749d9eaafde5c20ac6116325ff48a59010ef6b062f66a9a264fc4",
+        "d3cb6e95e4ef0bbe3973c1fcb6fa186606c48294e08a90525cb79081046b11fd",
+        "d527af635804f3f0dbbbd9483158adafd21239fe8ebcdcce857bdc42c525f01e",
+    ),
+    ("tree", "cnot"): (
+        "31440090244bf01444923ca3184ab8f09a5420c318062cb1f065eb104bfe202a",
+        "882e87ca97dcf95da883949fb8e311704696d73a8d22553dc8211bd038025536",
+        "c45bea93eb2a83da6d7d0ed2cfc513f341d71faa3b61ba2bc10a005d7809cf7d",
+    ),
+    ("verify", "cnot"): (
+        None,
+        None,
+        "27bf73bf56ad4011ee0a1cdcc6cd6dfa3d70c4943faf7fca213aeee69c9007e6",
+    ),
+    ("simulate", "cnot_t3"): (
+        "308dcdbb586563c8f0ba1682a4dbf8e651e434921943775e8bca48ed5ab3a1e6",
+        "a0aec1187d0f605e84c1bfb570d1805b21d26836d00b073a62572ded48a34e11",
+        "d527af635804f3f0dbbbd9483158adafd21239fe8ebcdcce857bdc42c525f01e",
+    ),
+    ("tree", "cnot_t3"): (
+        "dd08181561a9ebc27ea28fbba721a6db99faa5f6d3359c8bb82a0242f0f904bf",
+        "fef59b2241dd9f6a716f804c984294b800afd497d8c78b793b28aba4af96b942",
+        "e5ee12fff487103f403a195f728086f66b6b0bddfaae9dbfcc718e241d2f3c38",
+    ),
+    ("verify", "cnot_t3"): (
+        None,
+        None,
+        "27bf73bf56ad4011ee0a1cdcc6cd6dfa3d70c4943faf7fca213aeee69c9007e6",
+    ),
+    ("simulate", "partial_swap"): (
+        "5af5fc3a2ce2d0319ddc8096df6901a93c17573a2a2480212feb81e7e0778733",
+        "4adcf8363be804a8695f318d1b145400b10c2541491d11405edbb4573c25c4c9",
+        "215bfb24e6202232ec9a5e962fa81264c22c98ce333ef4d1a3aff5fd14354ae8",
+    ),
+    ("tree", "partial_swap"): (
+        "c17893e4f9d8438e21823c12e20afbdabe25e834d75457fad85079d75dd86885",
+        "96444be28ac1ccffa7242687fd4a1b307b9c81731c1ff61f60c6d676bc3211bb",
+        "19313f90f6de11a176847a46dbdc581731ead38356d7fc46abcd2362b4573d19",
+    ),
+    ("verify", "partial_swap"): (
+        None,
+        None,
+        "27bf73bf56ad4011ee0a1cdcc6cd6dfa3d70c4943faf7fca213aeee69c9007e6",
+    ),
+    ("simulate", "commuting"): (
+        "dfcf617a0815e13b086845f8759a06f8a452a44cbf8f44b1fd4a498bf301c633",
+        "4cf8ca6a97aea8124de9c76e5dc1fb4283609db535134d633443eb5df3efd48b",
+        "d527af635804f3f0dbbbd9483158adafd21239fe8ebcdcce857bdc42c525f01e",
+    ),
+    ("tree", "commuting"): (
+        "0f8ec3bd3f45b1a353804319e8aaef9fdcc0074f0d25666b1f78444ce47b8a1e",
+        "4086016d58c3421adc7cb11b6ac198570866219c6415162dc8e759c23987e05c",
+        "c45bea93eb2a83da6d7d0ed2cfc513f341d71faa3b61ba2bc10a005d7809cf7d",
+    ),
+    ("verify", "commuting"): (
+        None,
+        None,
+        "27bf73bf56ad4011ee0a1cdcc6cd6dfa3d70c4943faf7fca213aeee69c9007e6",
+    ),
+    ("simulate", "epr"): (
+        "a21b0eeadc493831d8c94b1cbc9e50c02748fc287a59be1b8a072fc0763a44b7",
+        "00515211f4e38ed8f5e9d09dfebbea2d4aaac48e3cad10cc81e73287d12cd9a4",
+        "44e37e54f27efd1e4a7652d8f627a27cd47ea8c9637e57430e1f6014b8889703",
+    ),
+    ("tree", "epr"): (
+        "17db644c4580a3a40eaecf6a1cc1ddc99cfddb33c97fb15ee92171e2361e1eee",
+        "d9c66447f4cb15be20fd01eccf5cf9fab55c7aa6d5ce80b4cbf5dfac666b140a",
+        "117633b6bb68fc36b3040841ab403347bcf66feb82cdbba7e223ec91fb9011ab",
+    ),
+    ("verify", "epr"): (
+        None,
+        None,
+        "27bf73bf56ad4011ee0a1cdcc6cd6dfa3d70c4943faf7fca213aeee69c9007e6",
+    ),
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -42,3 +127,21 @@ def test_cli_outputs_match_pinned_digests(name, tmp_path, capsys):
     assert sha256(out.read_bytes()) == csv_digest
     if stdout_digest is not None:
         assert sha256(capsys.readouterr().out.encode()) == stdout_digest
+
+
+@pytest.mark.parametrize(
+    "command, scenario", sorted(CHAIN_GOLDEN), ids=lambda v: v
+)
+def test_chain_outputs_match_pinned_digests(command, scenario, tmp_path, capsys):
+    csv_digest, trace_digest, stdout_digest = CHAIN_GOLDEN[command, scenario]
+    argv = [command, "--scenario", scenario]
+    if command == "simulate":
+        argv += ["--runs", "50"]
+    out, trace = tmp_path / "out.csv", tmp_path / "trace.jsonl"
+    if csv_digest is not None:
+        argv += ["--out", str(out), "--trace", str(trace)]
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode()) == stdout_digest
+    if csv_digest is not None:
+        assert sha256(out.read_bytes()) == csv_digest
+        assert sha256(trace.read_bytes()) == trace_digest
