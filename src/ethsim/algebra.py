@@ -19,10 +19,18 @@ from .errors import (
     NonConvergence,
     NotAbelian,
 )
-from .linalg import freeze, hermitian_eig, hs_norm, identity
+from .linalg import (
+    COS_TOL,
+    MEMBER_TOL,
+    SVD_TOL,
+    cluster_slices,
+    clustered_eigh,
+    freeze,
+    hermitian_eig,
+    hs_norm,
+    identity,
+)
 
-SVD_TOL = 1e-9
-MEMBER_TOL = 1e-8
 CLOSURE_ROUNDS = 64
 
 # Internal seed for the generic elements used to accelerate commutant
@@ -30,22 +38,22 @@ CLOSURE_ROUNDS = 64
 _GENERIC_SEED = 0x5EED
 
 
-def _svd_threshold(singular_values: np.ndarray, rel_tol: float) -> float:
+def _svd_threshold(singular_values: np.ndarray) -> float:
     top = float(singular_values[0]) if len(singular_values) else 0.0
-    return rel_tol * (1.0 + top)
+    return SVD_TOL * (1.0 + top)
 
 
-def orthonormalize(mats, ambient_dim: int, rel_tol: float = SVD_TOL) -> np.ndarray:
+def orthonormalize(mats, ambient_dim: int) -> np.ndarray:
     """Orthonormal basis (stacked as (k, D, D)) of the span of ``mats``."""
     if len(mats) == 0:
         return np.zeros((0, ambient_dim, ambient_dim), dtype=np.complex128)
     stack = np.stack([np.asarray(m, dtype=np.complex128).reshape(-1) for m in mats])
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    rank = int(np.sum(s > _svd_threshold(s, rel_tol)))
+    rank = int(np.sum(s > _svd_threshold(s)))
     return vh[:rank].reshape(rank, ambient_dim, ambient_dim)
 
 
-def _null_columns(mat: np.ndarray, rel_tol: float = SVD_TOL) -> np.ndarray:
+def _null_columns(mat: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the right null space of ``mat``.
 
     Only ``vh`` is read, so ``U`` is never formed in full.  A wide input keeps
@@ -54,8 +62,7 @@ def _null_columns(mat: np.ndarray, rel_tol: float = SVD_TOL) -> np.ndarray:
     if mat.shape[0] == 0:
         return np.eye(mat.shape[1], dtype=np.complex128)
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    thr = _svd_threshold(s, rel_tol)
-    rank = int(np.sum(s > thr))
+    rank = int(np.sum(s > _svd_threshold(s)))
     return vh[rank:].conj().T
 
 
@@ -95,8 +102,8 @@ class StarAlgebra:
         return self.stack.conj() @ np.asarray(x, dtype=np.complex128).reshape(-1)
 
 
-def from_span(mats, ambient_dim: int, rel_tol: float = SVD_TOL) -> StarAlgebra:
-    basis = orthonormalize(mats, ambient_dim, rel_tol)
+def from_span(mats, ambient_dim: int) -> StarAlgebra:
+    basis = orthonormalize(mats, ambient_dim)
     return StarAlgebra(ambient_dim, tuple(freeze(b) for b in basis))
 
 
@@ -130,9 +137,7 @@ def span_equal(a: StarAlgebra, b: StarAlgebra, tol: float = MEMBER_TOL) -> bool:
     return includes(b, a, tol) and includes(a, b, tol)
 
 
-def generate_algebra(
-    generators, ambient_dim: int, rel_tol: float = SVD_TOL
-) -> StarAlgebra:
+def generate_algebra(generators, ambient_dim: int) -> StarAlgebra:
     """Smallest unital *-algebra containing ``generators``.
 
     Alternates adjoint and pairwise-product closure with HS
@@ -147,7 +152,7 @@ def generate_algebra(
             )
         mats.append(g)
         mats.append(g.conj().T)
-    basis = orthonormalize(mats, ambient_dim, rel_tol)
+    basis = orthonormalize(mats, ambient_dim)
     for _ in range(CLOSURE_ROUNDS):
         k = len(basis)
         products = np.einsum("aij,bjk->abik", basis, basis).reshape(
@@ -155,7 +160,7 @@ def generate_algebra(
         )
         adjoints = basis.conj().transpose(0, 2, 1)
         new_basis = orthonormalize(
-            np.concatenate([basis, adjoints, products]), ambient_dim, rel_tol
+            np.concatenate([basis, adjoints, products]), ambient_dim
         )
         if len(new_basis) == k:
             return StarAlgebra(ambient_dim, tuple(freeze(b) for b in new_basis))
@@ -165,29 +170,23 @@ def generate_algebra(
     )
 
 
-def _commutant_of_hermitian(h: np.ndarray, cluster_tol: float = 1e-8) -> np.ndarray:
+def _commutant_of_hermitian(h: np.ndarray) -> np.ndarray:
     """Orthonormal basis (r, D, D) of {X : [X, h] = 0} for Hermitian ``h``.
 
     The commutant of a Hermitian matrix is the block algebra over its
     clustered eigenspaces, so it comes straight from one eigendecomposition.
     """
     d = h.shape[0]
-    vals, vecs = np.linalg.eigh(h)
-    gap = cluster_tol * (1.0 + float(np.max(np.abs(vals))))
+    _, vecs, labels = clustered_eigh(h)
     blocks = []
-    start = 0
-    for k in range(1, d + 1):
-        if k == d or vals[k] - vals[k - 1] > gap:
-            v = vecs[:, start:k]
-            m = v.shape[1]
-            blocks.append(
-                np.einsum("ai,bj->ijab", v, v.conj()).reshape(m * m, d, d)
-            )
-            start = k
+    for level in cluster_slices(labels):
+        v = vecs[:, level]
+        m = v.shape[1]
+        blocks.append(np.einsum("ai,bj->ijab", v, v.conj()).reshape(m * m, d, d))
     return np.concatenate(blocks, axis=0)
 
 
-def commutant(algebra: StarAlgebra, rel_tol: float = SVD_TOL) -> StarAlgebra:
+def commutant(algebra: StarAlgebra) -> StarAlgebra:
     """{X : [X, B] = 0 for every basis element B}.
 
     The null space of the stacked commutator map is computed by sequential
@@ -209,12 +208,12 @@ def commutant(algebra: StarAlgebra, rel_tol: float = SVD_TOL) -> StarAlgebra:
             break
         comms = current @ b - b @ current
         # The Frobenius norm bounds the largest singular value s0, so here
-        # s0 <= rel_tol <= rel_tol * (1 + s0): the SVD below would find rank 0
+        # s0 <= SVD_TOL <= SVD_TOL * (1 + s0): the SVD below would find rank 0
         # and keep every column.  Skipping it changes no basis.
-        if np.linalg.norm(comms) <= rel_tol:
+        if np.linalg.norm(comms) <= SVD_TOL:
             continue
         mat = comms.reshape(len(current), d * d).T
-        cols = _null_columns(mat, rel_tol)
+        cols = _null_columns(mat)
         if cols.shape[1] == len(current):
             continue
         current = np.tensordot(cols.T, current, axes=(1, 0))
@@ -229,9 +228,7 @@ def _full_matrix_units(d: int):
             yield e
 
 
-def intersect_spans(
-    a: StarAlgebra, b: StarAlgebra, cos_tol: float = 1e-8
-) -> StarAlgebra:
+def intersect_spans(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
     """Intersection of the two HS subspaces via principal angles."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
@@ -240,23 +237,21 @@ def intersect_spans(
         return StarAlgebra(d, ())
     m = b.stack.conj() @ a.stack.T
     _, s, vh = np.linalg.svd(m, full_matrices=False)
-    keep = s >= 1.0 - cos_tol
+    keep = s >= 1.0 - COS_TOL
     vecs = vh[keep].conj() @ a.stack
     basis = orthonormalize(vecs.reshape(-1, d, d), d)
     return StarAlgebra(d, tuple(freeze(x) for x in basis))
 
 
-def relative_commutant(
-    a: StarAlgebra, b: StarAlgebra, rel_tol: float = SVD_TOL
-) -> StarAlgebra:
+def relative_commutant(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
     """commutant(a) intersected with the span of ``b``."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    return intersect_spans(commutant(a, rel_tol), b)
+    return intersect_spans(commutant(a), b)
 
 
-def center(algebra: StarAlgebra, rel_tol: float = SVD_TOL) -> StarAlgebra:
-    return relative_commutant(algebra, algebra, rel_tol)
+def center(algebra: StarAlgebra) -> StarAlgebra:
+    return relative_commutant(algebra, algebra)
 
 
 def is_abelian(algebra: StarAlgebra, tol: float = MEMBER_TOL) -> bool:
@@ -297,7 +292,7 @@ def minimal_projections(
     c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     g = np.tensordot(c, algebra.tensor, axes=(0, 0))
     h = (g + g.conj().T) / 2.0
-    eig = hermitian_eig(h, tol=1e-8)
+    eig = hermitian_eig(h, tol=MEMBER_TOL)
     if len(eig.projections) != k:
         raise GenericityFailure(
             f"random combination produced {len(eig.projections)} levels for a "

@@ -29,7 +29,16 @@ import numpy as np
 from . import algebra as alg
 from .algebra import StarAlgebra
 from .errors import DimensionMismatch, OutOfRange, ValidationError
-from .linalg import CLUSTER_TOL, freeze, kron_all, operator_norm, partial_trace
+from .linalg import (
+    DEFAULT_TOL,
+    WEIGHT_EPS,
+    cluster_slices,
+    clustered_eigh,
+    freeze,
+    kron_all,
+    operator_norm,
+    partial_trace,
+)
 from .states import EventDetection, State, _order_event
 
 DIMENSION_CAP = 4096
@@ -231,7 +240,7 @@ class ChainModel:
         for k, g in enumerate(gates):
             if g.shape != (system_dim * probe_dim, system_dim * probe_dim):
                 raise DimensionMismatch(f"gate {k + 1} has shape {g.shape}")
-            if operator_norm(g @ g.conj().T - np.eye(g.shape[0])) > 1e-9:
+            if operator_norm(g @ g.conj().T - np.eye(g.shape[0])) > DEFAULT_TOL:
                 raise ValidationError(f"gate {k + 1} is not unitary")
         self.gates = tuple(freeze(g) for g in gates)
         self.step_unitaries = tuple(
@@ -296,11 +305,7 @@ class ChainModel:
         return partial_trace(rot, dims, keep=[0, 2])
 
     def detect_event_reduced(
-        self,
-        state: State,
-        t: int,
-        weight_eps: float = 1e-8,
-        cluster_tol: float = CLUSTER_TOL,
+        self, state: State, t: int, weight_eps: float = WEIGHT_EPS
     ) -> EventDetection:
         """Event detection through the reduced state's spectral sectors.
 
@@ -312,21 +317,16 @@ class ChainModel:
         """
         if not 0 <= t <= self.horizon:
             raise OutOfRange(f"time {t} outside 0..{self.horizon}")
-        red = self.reduced_future_density(state, t)
-        vals, vecs = np.linalg.eigh((red + red.conj().T) / 2.0)
-        gap = cluster_tol * (1.0 + float(np.max(np.abs(vals))))
+        vals, vecs, labels = clustered_eigh(self.reduced_future_density(state, t))
         c = self._cumulative[t]
         projections = []
         weights = []
-        start = 0
-        for k in range(1, len(vals) + 1):
-            if k == len(vals) or vals[k] - vals[k - 1] > gap:
-                block = vecs[:, start:k]
-                p_red = block @ block.conj().T
-                p_full = embed_future_block(p_red, self.s, self.p, t, self.horizon)
-                projections.append(c.conj().T @ p_full @ c)
-                weights.append(max(0.0, float(np.sum(vals[start:k]))))
-                start = k
+        for level in cluster_slices(labels):
+            block = vecs[:, level]
+            p_red = block @ block.conj().T
+            p_full = embed_future_block(p_red, self.s, self.p, t, self.horizon)
+            projections.append(c.conj().T @ p_full @ c)
+            weights.append(max(0.0, float(np.sum(vals[level]))))
         family, ws = _order_event(projections, weights, t)
         positive = sum(1 for w in ws if w > weight_eps)
         actual = len(ws) >= 2 and positive >= 2
@@ -340,7 +340,7 @@ class ChainModel:
 
     # -- filtration checks ----------------------------------------------------
 
-    def nesting_report(self, member_tol: float = 1e-8) -> NestingReport:
+    def nesting_report(self) -> NestingReport:
         """Inclusion, strictness and relative-commutant dimension per step."""
         snaps = [self.algebra_at(t) for t in range(self.horizon + 1)]
         steps = []
@@ -352,7 +352,7 @@ class ChainModel:
                     t=t,
                     dim_before=outer.dim,
                     dim_after=inner.dim,
-                    inclusion_ok=alg.includes(outer, inner, member_tol),
+                    inclusion_ok=alg.includes(outer, inner),
                     strict=inner.dim < outer.dim,
                     relative_commutant_dim=rel.dim,
                 )

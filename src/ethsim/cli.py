@@ -1,7 +1,7 @@
 """Command line front end.
 
     ethsim <command> --scenario FILE [--seed N] [--runs N] [--steps N]
-           [--trace FILE] [--out FILE] [--prune X] [--delta X] [--svg FILE]
+           [--trace FILE] [--out FILE] [--prune X] [--svg FILE]
 
 Commands: simulate, tree, verify, ndm, jumps, epr-demo.  Traces are
 line-delimited JSON records, summaries are CSV.  Exit codes: 0 ok, 1 error,
@@ -249,18 +249,13 @@ def cmd_ndm(scn: Scenario, args) -> int:
             )
         _write_lines(args.trace, lines)
     if args.out:
-        rows = []
-        for r, run in enumerate(report.runs):
-            for j, eta in enumerate(run.protocol.values):
-                rows.append(
-                    [
-                        r,
-                        j + 1,
-                        eta,
-                        run.classified,
-                        f"{run.purification[j]:.17g}",
-                    ]
-                )
+        rows = [
+            [r, j, eta, run.classified, f"{x:.17g}"]
+            for r, run in enumerate(report.runs)
+            for j, (eta, x) in enumerate(
+                zip(run.protocol.values, run.purification.tolist()), start=1
+            )
+        ]
         _write_csv(
             args.out,
             ["run", "step", "eta", "estimated_alpha", "purification_metric"],
@@ -345,7 +340,6 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", help="line-delimited JSON trace output")
     parser.add_argument("--out", help="CSV summary output")
     parser.add_argument("--prune", type=float, default=None)
-    parser.add_argument("--delta", type=float, default=None)
     parser.add_argument("--svg", help="optional line-chart output")
     return parser
 
@@ -360,12 +354,6 @@ def main(argv=None) -> int:
         scn = None
         if args.scenario:
             scn = resolve_scenario(args.scenario)
-            if args.delta is not None:
-                from dataclasses import replace
-
-                scn = replace(
-                    scn, thresholds=replace(scn.thresholds, delta=args.delta)
-                )
         if args.command != "epr-demo" and scn is None:
             print("a scenario is required", file=sys.stderr)
             return 1

@@ -33,14 +33,15 @@ from .chain import (
     singlet_pair_density,
 )
 from .errors import DepthExceeded, OutOfRange, TreeTooLarge
-from .linalg import SIGMA_X, SIGMA_Z, embed_site_operator, kron_all
+from .linalg import SIGMA_X, SIGMA_Z, WEIGHT_EPS, embed_site_operator, kron_all
 from .states import (
-    WEIGHT_EPS,
     EventDetection,
     State,
     collapse,
     detect_event,
     incoherence_residual,
+    inverse_cdf,
+    positive_weights,
 )
 from .trace import fingerprint
 
@@ -63,18 +64,12 @@ def _detect(
 
 
 def _draw_branch(weights, weight_eps: float, u: float) -> int:
-    """Pick a branch index by Born weights; zero-weight branches are skipped."""
-    total = sum(w for w in weights if w > weight_eps)
-    acc = 0.0
-    last = None
-    for i, w in enumerate(weights):
-        if w <= weight_eps:
-            continue
-        acc += w / total
-        last = i
-        if u < acc:
-            return i
-    return last
+    """Pick a branch index by Born weights; zero-weight branches are skipped.
+
+    ``u`` is compared with the running sums of the normalised weights.
+    """
+    masked, total, last = positive_weights(weights, weight_eps)
+    return int(inverse_cdf(masked / total, u, last))
 
 
 # ---------------------------------------------------------------------------

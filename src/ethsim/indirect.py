@@ -34,9 +34,19 @@ from .errors import (
     ValidationError,
 )
 from .chain import ChainModel, embed_system_probe, ground_density
-from .linalg import CLUSTER_TOL, dagger, freeze, hermitian_eig, operator_norm, partial_trace
+from .linalg import (
+    DEFAULT_TOL,
+    SEPARATION_TOL,
+    WEIGHT_EPS,
+    clustered_eigh,
+    dagger,
+    freeze,
+    hermitian_eig,
+    operator_norm,
+    partial_trace,
+)
 from .recording import PhysicalQuantity
-from .states import WEIGHT_EPS, State
+from .states import State, inverse_cdf, positive_weights
 
 
 @dataclass(frozen=True)
@@ -88,14 +98,15 @@ class NdmScenario:
         gate = np.asarray(self.gate, dtype=np.complex128)
         if gate.shape != (s * p, s * p):
             raise DimensionMismatch("gate must act on system x probe")
-        if operator_norm(gate @ dagger(gate) - np.eye(s * p)) > 1e-9:
+        if operator_norm(gate @ dagger(gate) - np.eye(s * p)) > DEFAULT_TOL:
             raise ValidationError("gate is not unitary")
         a = np.asarray(self.conserved, dtype=np.complex128)
         if a.shape != (s, s):
             raise DimensionMismatch("conserved quantity must act on the system")
-        if operator_norm(a - dagger(a)) > 1e-9:
+        if operator_norm(a - dagger(a)) > DEFAULT_TOL:
             raise ValidationError("conserved quantity must be Hermitian")
-        if operator_norm(gate @ np.kron(a, np.eye(p)) - np.kron(a, np.eye(p)) @ gate) > 1e-9:
+        a_p = np.kron(a, np.eye(p))
+        if operator_norm(gate @ a_p - a_p @ gate) > DEFAULT_TOL:
             raise ValidationError("gate does not conserve the quantity")
         if self.initial_system.dim != s:
             raise DimensionMismatch("initial system state dimension mismatch")
@@ -129,12 +140,12 @@ class NdmScenario:
                 out[a_idx, e_idx] = float(np.trace(sigma @ q).real)
         return out
 
-    def check_separation(self, tol: float = 1e-9) -> np.ndarray:
+    def check_separation(self) -> np.ndarray:
         p = self.exact_pointer_distributions()
         n = p.shape[0]
         for i in range(n):
             for j in range(i + 1, n):
-                if np.abs(p[i] - p[j]).sum() < tol:
+                if np.abs(p[i] - p[j]).sum() < SEPARATION_TOL:
                     raise SeparationFailure(
                         f"sectors {i} and {j} share one pointer distribution"
                     )
@@ -150,18 +161,6 @@ def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of each matrix in the stack ``a`` (R, m, m) with ``b`` (n, n)."""
     r, m, n = a.shape[0], a.shape[1], b.shape[0]
     return (a[:, :, None, :, None] * b[None, None, :, None, :]).reshape(r, m * n, m * n)
-
-
-def _inverse_cdf(weights: np.ndarray, u: np.ndarray, last: np.ndarray | int) -> np.ndarray:
-    """Per row, the first index whose running weight exceeds ``u``, or ``last``
-    when none does (``u`` rounded up to the total).
-
-    Weights are non-negative, so the running sums never decrease and the
-    first index past ``u`` is the number of running sums at or below it;
-    that index always carries positive weight.
-    """
-    passed = (weights.cumsum(axis=1) <= u[:, None]).sum(axis=1)
-    return np.minimum(passed, last)
 
 
 @dataclass
@@ -192,10 +191,7 @@ def _branch_stage(rho: np.ndarray, scn: NdmScenario) -> _Branches:
     s, p = scn.system_dim, scn.probe_dim
     sigma = scn.gate @ _kron_stack(rho, scn.probe_density) @ dagger(scn.gate)
     rho_post = partial_trace(sigma, [s, p], keep=[0])
-    vals, vecs = np.linalg.eigh((rho_post + dagger(rho_post)) / 2.0)
-    gap = CLUSTER_TOL * (1.0 + np.abs(vals).max(axis=1))
-    labels = np.zeros(vals.shape, dtype=np.intp)
-    labels[:, 1:] = ((vals[:, 1:] - vals[:, :-1]) > gap[:, None]).cumsum(axis=1)
+    vals, vecs, labels = clustered_eigh(rho_post)
     # (R, sector, eigenvector).  Adding the other sectors' zeros is exact, so
     # each weight sums its sector's eigenvalues in ascending order, as
     # np.sum over the sector's slice does (sequentially, below 8 terms)
@@ -243,7 +239,7 @@ def _collapse_stage(br: _Branches, scn: NdmScenario, u: np.ndarray):
     s, p = scn.system_dim, scn.probe_dim
     weights, positive = br.weights, br.positive
     last_positive = s - 1 - positive[:, ::-1].argmax(axis=1)
-    born = _inverse_cdf(weights, u[:, 0] * weights.sum(axis=1), last_positive)
+    born = inverse_cdf(weights, u[:, 0] * weights.sum(axis=1), last_positive)
     chosen = np.where(br.branched, born, positive.argmax(axis=1))
     w = weights[np.arange(len(chosen)), chosen]
     pi = _kron_stack(_sector_projection(br.vecs, br.labels == chosen[:, None]), np.eye(p))
@@ -251,7 +247,7 @@ def _collapse_stage(br: _Branches, scn: NdmScenario, u: np.ndarray):
     q = np.asarray(scn.quantity.projections)
     pointer = (sigma_branch[:, None] @ q[None]).trace(axis1=2, axis2=3).real.clip(0.0, None)
     pointer /= pointer.sum(axis=1, keepdims=True)
-    eta = _inverse_cdf(pointer, u[:, 1], pointer.shape[1] - 1)
+    eta = inverse_cdf(pointer, u[:, 1], pointer.shape[1] - 1)
     new_rho = partial_trace(sigma_branch, [s, p], keep=[0])
     trivial = br.trivial
     return (
@@ -344,7 +340,6 @@ def _ndm_runs(
     seeds,
     steps: int,
     p_exact: np.ndarray,
-    collect_purification: bool = True,
 ) -> list[NdmRun]:
     """Independent runs advanced together, one stacked probe step at a time.
 
@@ -361,7 +356,7 @@ def _ndm_runs(
     rho = np.broadcast_to(np.asarray(scn.initial_system.density), (n_runs, s, s))
     values = np.zeros((n_runs, steps), dtype=np.intp)
     branched = np.zeros((n_runs, steps), dtype=bool)
-    purif = np.zeros((n_runs, steps if collect_purification else 0))
+    purif = np.zeros((n_runs, steps))
     a_expect = np.zeros_like(purif)
     for j in range(steps):
         for r in np.flatnonzero(cursor > DRAW_BLOCK - 2):
@@ -375,10 +370,9 @@ def _ndm_runs(
         cursor += k
         values[:, j], _, rho = _collapse_stage(br, scn, u)
         branched[:, j] = br.branched
-        if collect_purification:
-            in_sector = np.trace(rho[:, None] @ sectors[None], axis1=2, axis2=3).real
-            purif[:, j] = 1.0 - in_sector.max(axis=1)
-            a_expect[:, j] = np.trace(rho @ a, axis1=1, axis2=2).real
+        in_sector = np.trace(rho[:, None] @ sectors[None], axis1=2, axis2=3).real
+        purif[:, j] = 1.0 - in_sector.max(axis=1)
+        a_expect[:, j] = np.trace(rho @ a, axis1=1, axis2=2).real
     times = tuple(range(1, steps + 1))
     runs = []
     for r, seed in enumerate(seeds):
@@ -398,13 +392,11 @@ def _ndm_runs(
     return runs
 
 
-def run_ndm_protocol(
-    scn: NdmScenario, seed: int, steps: int | None = None, collect_purification: bool = True
-) -> NdmRun:
+def run_ndm_protocol(scn: NdmScenario, seed: int, steps: int | None = None) -> NdmRun:
     """One full indirect-measurement run of ``steps`` probe interactions."""
     steps = scn.steps if steps is None else steps
     p_exact = scn.exact_pointer_distributions()
-    return _ndm_runs(scn, [seed], steps, p_exact, collect_purification)[0]
+    return _ndm_runs(scn, [seed], steps, p_exact)[0]
 
 
 def ndm_experiment(
@@ -474,28 +466,18 @@ def run_protocol(
     values = []
     for j in range(1, n + 1):
         det = model.detect_event_reduced(state, j, weight_eps)
-        weights = det.weights
-        positive = [k for k, w in enumerate(weights) if w > weight_eps]
-        trivial = len(positive) == 1 and (
-            np.abs(
-                det.event.projections[positive[0]] - np.eye(model.dim)
-            ).max()
-            < 1e-9
+        masked, total, last = positive_weights(det.weights, weight_eps)
+        positive = np.count_nonzero(masked)
+        trivial = positive == 1 and (
+            np.abs(det.event.projections[last] - np.eye(model.dim)).max() < DEFAULT_TOL
         )
         if trivial:
             values.append(0)
             continue
-        if len(positive) >= 2:
-            total = sum(weights[k] for k in positive)
-            u = rng.random() * total
-            acc, chosen = 0.0, positive[-1]
-            for k in positive:
-                acc += weights[k]
-                if u < acc:
-                    chosen = k
-                    break
+        if positive >= 2:
+            chosen = int(inverse_cdf(masked, rng.random() * total, last))
             pi = det.event.projections[chosen]
-            rho = pi @ state.density @ pi / weights[chosen]
+            rho = pi @ state.density @ pi / det.weights[chosen]
             state = State((rho + dagger(rho)) / 2.0)
         # single proper positive branch: collapse is the identity on the state
         c = model.propagator(j, 0)
@@ -506,14 +488,7 @@ def run_protocol(
             dist.append(float(state.expect(heis).real))
         dist = np.clip(np.array(dist), 0.0, None)
         dist /= dist.sum()
-        u = rng.random()
-        acc, eta = 0.0, len(dist) - 1
-        for k, q in enumerate(dist):
-            acc += q
-            if u < acc:
-                eta = k
-                break
-        values.append(eta)
+        values.append(int(inverse_cdf(dist, rng.random(), len(dist) - 1)))
     return MeasurementProtocol(tuple(values), tuple(range(1, n + 1)), seed)
 
 
@@ -573,7 +548,7 @@ def weak_measurement_trajectory(
         raise ValidationError("window must be at least 10")
     if scn.system_dim != 2:
         raise ValidationError("the built-in drift requires a two-level system")
-    p_exact = scn.check_separation(tol=1e-9)
+    p_exact = scn.check_separation()
     c, s_ = np.cos(drift_angle), np.sin(drift_angle)
     drift = np.array([[c, -s_], [s_, c]], dtype=np.complex128)
     rng = np.random.default_rng(seed)

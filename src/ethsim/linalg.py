@@ -5,6 +5,9 @@ Matrices handed out by this module are frozen (``writeable=False``) so they can
 be shared safely between concurrent runs.  Tolerances follow an
 absolute-plus-relative convention ``tol * (1 + scale)`` so behaviour does not
 depend on the overall size of a scenario.
+
+The tolerances of the package's decisions are the constants below, one per
+decision; a scenario can override only ``WEIGHT_EPS``.
 """
 
 from __future__ import annotations
@@ -16,8 +19,24 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
 
+# Hermitian, projection, unitarity and partition-of-unity checks (operator norm)
 DEFAULT_TOL = 1e-9
+# eigenvalues closer than CLUSTER_TOL * (1 + max|eigenvalue|) form one level
 CLUSTER_TOL = 1e-8
+# singular values at or below SVD_TOL * (1 + largest) count as zero
+SVD_TOL = 1e-9
+# HS residual of an algebra membership test, relative to 1 + ||x||_HS
+MEMBER_TOL = 1e-8
+# principal angles with cosine >= 1 - COS_TOL lie in a span intersection
+COS_TOL = 1e-8
+# a Born weight counts as strictly positive above WEIGHT_EPS
+WEIGHT_EPS = 1e-8
+# collapse refuses branches whose probability is at or below COLLAPSE_EPS
+COLLAPSE_EPS = 1e-12
+# density matrices: Hermitian, unit trace and positive up to STATE_TOL
+STATE_TOL = 1e-10
+# two sectors' pointer distributions closer than this in L1 are not separated
+SEPARATION_TOL = 1e-9
 
 
 def freeze(m: np.ndarray) -> np.ndarray:
@@ -103,35 +122,46 @@ class HermitianEigensystem:
         return out
 
 
-def hermitian_eig(
-    m: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    cluster_tol: float | None = None,
-) -> HermitianEigensystem:
+def clustered_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecomposition of the Hermitian part of ``m`` with clustered levels.
+
+    ``m`` is one matrix or a stack.  Returns the ascending eigenvalues, the
+    eigenvectors (columns) and each eigenvalue's cluster label: labels start
+    at 0 and step up wherever two neighbouring eigenvalues are more than
+    ``CLUSTER_TOL * (1 + max|eigenvalue|)`` apart.  The threshold must be
+    generous enough that numerically split degeneracies stay one level,
+    otherwise centre detection downstream breaks.
+    """
+    m = np.asarray(m)
+    vals, vecs = np.linalg.eigh((m + dagger(m)) / 2.0)
+    gap = CLUSTER_TOL * (1.0 + np.abs(vals).max(axis=-1, keepdims=True))
+    labels = np.zeros(vals.shape, dtype=np.intp)
+    labels[..., 1:] = (vals[..., 1:] - vals[..., :-1] > gap).cumsum(axis=-1)
+    return vals, vecs, labels
+
+
+def cluster_slices(labels: np.ndarray) -> list[slice]:
+    """The index range of each cluster of one spectrum's labels, in order."""
+    ends = np.bincount(labels).cumsum().tolist()
+    return [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+
+
+def hermitian_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigensystem:
     """Spectral decomposition with near-degenerate eigenvalues merged.
 
-    Eigenvalues closer than ``cluster_tol * (1 + ||m||)`` are treated as a
-    single degenerate level; the clustering threshold must be generous enough
-    that numerically split degeneracies yield one projection, otherwise
-    center detection downstream breaks.
+    ``m`` must be Hermitian within ``tol * (1 + ||m||)``; its levels are the
+    clusters of ``clustered_eigh``.
     """
     m = np.asarray(m, dtype=np.complex128)
-    scale = 1.0 + operator_norm(m)
-    if operator_norm(m - dagger(m)) > tol * scale:
+    if not is_hermitian(m, tol):
         raise NotHermitian(f"matrix is not Hermitian within {tol}")
-    if cluster_tol is None:
-        cluster_tol = CLUSTER_TOL
-    vals, vecs = np.linalg.eigh((m + dagger(m)) / 2.0)
-    gap = cluster_tol * scale
+    vals, vecs, labels = clustered_eigh(m)
     eigenvalues: list[float] = []
     projections: list[np.ndarray] = []
-    start = 0
-    for k in range(1, len(vals) + 1):
-        if k == len(vals) or vals[k] - vals[k - 1] > gap:
-            block = vecs[:, start:k]
-            projections.append(freeze(block @ block.conj().T))
-            eigenvalues.append(float(np.mean(vals[start:k])))
-            start = k
+    for level in cluster_slices(labels):
+        block = vecs[:, level]
+        projections.append(freeze(block @ block.conj().T))
+        eigenvalues.append(float(np.mean(vals[level])))
     return HermitianEigensystem(tuple(eigenvalues), tuple(projections))
 
 

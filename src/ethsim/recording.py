@@ -32,8 +32,15 @@ from .errors import (
     RecordingConditionsFailed,
     ValidationError,
 )
-from .linalg import freeze, is_projection, operator_norm
-from .states import EventDetection, State, collapse, dist_to_event_algebra
+from .linalg import DEFAULT_TOL, WEIGHT_EPS, freeze, is_projection, operator_norm
+from .states import (
+    EventDetection,
+    State,
+    collapse,
+    dist_to_event_algebra,
+    inverse_cdf,
+    positive_weights,
+)
 
 # Aggregate constant for the O(delta) bounds in the recording chain; each step
 # of the derivation contributes a small factor.  Acceptance checks use the
@@ -67,10 +74,10 @@ class PhysicalQuantity:
         for i, p in enumerate(self.projections):
             if p.shape != (dim, dim):
                 raise DimensionMismatch("projections must share one dimension")
-            if not is_projection(p, 1e-9):
+            if not is_projection(p):
                 raise ValidationError(f"member {i} is not an orthogonal projection")
             total += p
-        if operator_norm(total - np.eye(dim)) > 1e-9:
+        if operator_norm(total - np.eye(dim)) > DEFAULT_TOL:
             raise ValidationError("projections must partition unity")
 
     @property
@@ -98,7 +105,6 @@ def represent_at(
     model: ChainModel,
     t: int,
     verify_membership: bool = True,
-    member_tol: float = 1e-8,
 ) -> list[np.ndarray]:
     """Heisenberg representation of the quantity inside E(t).
 
@@ -119,7 +125,7 @@ def represent_at(
     if verify_membership:
         future = model.algebra_at(t).algebra
         for k, rep in enumerate(reps):
-            if not algebra_contains(future, rep, member_tol):
+            if not algebra_contains(future, rep):
                 raise NotInFutureAlgebra(
                     f"representation of member {k} left the future algebra"
                 )
@@ -176,7 +182,7 @@ def check_recording_conditions(
     total = np.zeros((dim, dim), dtype=np.complex128)
     for q in q_reps:
         total += q
-    condition_a = operator_norm(total - np.eye(dim)) <= 1e-9
+    condition_a = operator_norm(total - np.eye(dim)) <= DEFAULT_TOL
     w0 = float(omega.expect(q_reps[0]).real)
     condition_b = w0 <= delta
     max_dist = 0.0
@@ -213,7 +219,7 @@ def record_event(
     detection: EventDetection,
     delta: float,
     seed: int = 0,
-    weight_eps: float = 1e-8,
+    weight_eps: float = WEIGHT_EPS,
 ) -> tuple[int, str, State]:
     """Sample the actual branch and read off the pointer that recorded it.
 
@@ -233,17 +239,8 @@ def record_event(
             f"c_max={report.condition_c_max_dist}"
         )
     rng = np.random.default_rng(seed)
-    weights = detection.weights
-    total = sum(w for w in weights if w > weight_eps)
-    u = rng.random() * total
-    acc, chosen = 0.0, None
-    for k, w in enumerate(weights):
-        if w <= weight_eps:
-            continue
-        acc += w
-        chosen = k
-        if u < acc:
-            break
+    masked, total, last = positive_weights(detection.weights, weight_eps)
+    chosen = int(inverse_cdf(masked, rng.random() * total, last))
     pi = detection.event.projections[chosen]
     label = detection.event.labels[chosen]
     hits = [

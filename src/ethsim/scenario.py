@@ -22,7 +22,7 @@ from .chain import (
 )
 from .errors import ParseError, ValidationError
 from .indirect import NdmScenario
-from .linalg import SIGMA_Z
+from .linalg import SIGMA_Z, WEIGHT_EPS
 from .recording import PhysicalQuantity, probe_pointer_quantity
 from .states import State
 
@@ -43,18 +43,14 @@ _TOP_KEYS = {
     "theta_filter",
 }
 _GATE_KEYS = {"name", "control_states", "phi", "theta", "readout_phi", "entries"}
-_THRESHOLD_KEYS = {"svd_tol", "weight_eps", "delta"}
+_THRESHOLD_KEYS = {"weight_eps"}
 _JUMPS_KEYS = {"drift_angle", "window"}
 _QUANTITY_KEYS = {"name", "site", "spectrum", "projections"}
-
-DEFAULT_THRESHOLDS = {"svd_tol": 1e-9, "weight_eps": 1e-8, "delta": 1e-3}
 
 
 @dataclass(frozen=True)
 class Thresholds:
-    svd_tol: float = 1e-9
-    weight_eps: float = 1e-8
-    delta: float = 1e-3
+    weight_eps: float = WEIGHT_EPS
 
 
 @dataclass(frozen=True)
@@ -136,10 +132,8 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     if isinstance(conserved, dict):
         _reject_unknown(conserved, {"entries"}, "conserved")
         _parse_complex_matrix(conserved["entries"], "conserved")
-    thr = dict(DEFAULT_THRESHOLDS)
     raw_thr = doc.get("thresholds", {})
     _reject_unknown(raw_thr, _THRESHOLD_KEYS, "thresholds")
-    thr.update({k: float(v) for k, v in raw_thr.items()})
     jumps = doc.get("jumps", {})
     _reject_unknown(jumps, _JUMPS_KEYS, "jumps")
     runs = int(doc.get("runs", 100))
@@ -157,7 +151,7 @@ def parse_scenario_dict(doc: dict) -> Scenario:
         initial_state=initial,
         quantity=dict(quantity),
         conserved=conserved,
-        thresholds=Thresholds(**thr),
+        thresholds=Thresholds(**{k: float(v) for k, v in raw_thr.items()}),
         seed=int(doc.get("seed", 0)),
         runs=runs,
         steps=steps,
@@ -192,11 +186,7 @@ def emit_scenario(scn: Scenario) -> dict:
         "conserved": scn.conserved
         if isinstance(scn.conserved, str)
         else {"entries": scn.conserved["entries"]},
-        "thresholds": {
-            "svd_tol": scn.thresholds.svd_tol,
-            "weight_eps": scn.thresholds.weight_eps,
-            "delta": scn.thresholds.delta,
-        },
+        "thresholds": {"weight_eps": scn.thresholds.weight_eps},
         "seed": scn.seed,
         "runs": scn.runs,
     }

@@ -26,10 +26,17 @@ from .errors import (
     TooManyProjections,
     ZeroProbability,
 )
-from .linalg import dagger, freeze, is_projection, operator_norm
-
-WEIGHT_EPS = 1e-8
-STATE_TOL = 1e-10
+from .linalg import (
+    COLLAPSE_EPS,
+    DEFAULT_TOL,
+    MEMBER_TOL,
+    STATE_TOL,
+    WEIGHT_EPS,
+    dagger,
+    freeze,
+    is_projection,
+    operator_norm,
+)
 
 
 @dataclass(frozen=True)
@@ -84,7 +91,7 @@ class EventFamily:
     def __len__(self) -> int:
         return len(self.projections)
 
-    def validate(self, tol: float = 1e-9):
+    def validate(self, tol: float = DEFAULT_TOL):
         d = self.dim
         total = np.zeros((d, d), dtype=np.complex128)
         for i, p in enumerate(self.projections):
@@ -129,12 +136,34 @@ def born_weights(omega: State, event: EventFamily) -> list[float]:
     return weights
 
 
-def collapse(omega: State, projection: np.ndarray, weight_eps: float = 1e-12) -> State:
+def positive_weights(weights, weight_eps: float) -> tuple[np.ndarray, float, int]:
+    """Born weights with those at or below ``weight_eps`` set to zero, their
+    total summed in branch order, and the index of the last weight kept."""
+    w = np.asarray(weights, dtype=float)
+    kept = w > weight_eps
+    masked = np.where(kept, w, 0.0)
+    return masked, sum(masked.tolist()), int(np.flatnonzero(kept)[-1])
+
+
+def inverse_cdf(weights: np.ndarray, u, last):
+    """The Born draw: the first index whose running weight exceeds ``u``, or
+    ``last`` when none does (``u`` rounded up to the total).
+
+    ``weights`` is one weight vector with a scalar ``u``, or a stack of rows
+    with one ``u`` per row.  Weights are non-negative, so the running sums
+    never decrease and the first index past ``u`` is the number of running
+    sums at or below it; that index always carries positive weight.
+    """
+    passed = (np.cumsum(weights, axis=-1) <= np.asarray(u)[..., None]).sum(axis=-1)
+    return np.minimum(passed, last)
+
+
+def collapse(omega: State, projection: np.ndarray, weight_eps: float = COLLAPSE_EPS) -> State:
     """State conditioned on one branch: pi Omega pi / tr(Omega pi)."""
     p = np.asarray(projection, dtype=np.complex128)
     if p.shape != (omega.dim, omega.dim):
         raise DimensionMismatch("projection and state dimensions differ")
-    if not is_projection(p, 1e-9):
+    if not is_projection(p):
         raise ValueError("collapse requires an orthogonal projection")
     prob = float(omega.expect(p).real)
     if prob <= weight_eps:
@@ -143,9 +172,7 @@ def collapse(omega: State, projection: np.ndarray, weight_eps: float = 1e-12) ->
     return State((rho + dagger(rho)) / 2.0)
 
 
-def centralizer_of_state(
-    omega: State, m: StarAlgebra, rel_tol: float = alg.SVD_TOL
-) -> StarAlgebra:
+def centralizer_of_state(omega: State, m: StarAlgebra) -> StarAlgebra:
     """{Y in M : omega([Y, X]) = 0 for all X in M}.
 
     Computed as the null space of the map Y -> (tr([Omega, Y] B_i))_i over the
@@ -161,14 +188,14 @@ def centralizer_of_state(
     comms = rho @ basis - basis @ rho  # [Omega, B_a] stacked over a
     # T[i, a] = tr([Omega, B_a] B_i)
     t = np.einsum("amn,inm->ia", comms, basis)
-    cols = alg._null_columns(t, rel_tol)
+    cols = alg._null_columns(t)
     vecs = np.tensordot(cols.T, basis, axes=(1, 0))
     sub = StarAlgebra(m.ambient_dim, tuple(freeze(v) for v in vecs))
     closed = _largest_closed_subspace(sub)
     return closed
 
 
-def _product_closed(sub: StarAlgebra, tol: float = alg.MEMBER_TOL) -> bool:
+def _product_closed(sub: StarAlgebra, tol: float = MEMBER_TOL) -> bool:
     basis = sub.tensor
     k = len(basis)
     if k == 0:
@@ -213,10 +240,8 @@ def _largest_closed_subspace(sub: StarAlgebra, max_rounds: int = 16) -> StarAlge
     raise NonConvergence("centralizer closure repair exceeded its round cap")
 
 
-def center_of_centralizer(
-    omega: State, m: StarAlgebra, rel_tol: float = alg.SVD_TOL
-) -> StarAlgebra:
-    return alg.center(centralizer_of_state(omega, m, rel_tol), rel_tol)
+def center_of_centralizer(omega: State, m: StarAlgebra) -> StarAlgebra:
+    return alg.center(centralizer_of_state(omega, m))
 
 
 def event_labels(t: int, count: int) -> list[str]:
@@ -260,7 +285,6 @@ def detect_event(
     t: int,
     weight_eps: float = WEIGHT_EPS,
     rng_seed: int = 0,
-    rel_tol: float = alg.SVD_TOL,
 ) -> EventDetection:
     """Find the event that starts to happen at time ``t``, if any.
 
@@ -271,8 +295,8 @@ def detect_event(
     """
     if not 0.0 < weight_eps < 0.5:
         raise ValueError("weight_eps must lie in (0, 0.5)")
-    centralizer = centralizer_of_state(omega, future_algebra, rel_tol)
-    z = alg.center(centralizer, rel_tol)
+    centralizer = centralizer_of_state(omega, future_algebra)
+    z = alg.center(centralizer)
     projections = alg.minimal_projections_retry(z, rng_seed)
     weights = [max(0.0, float(omega.expect(p).real)) for p in projections]
     family, ws = _order_event(list(projections), weights, t)
@@ -295,7 +319,6 @@ def conditional_expectation(
     event: EventFamily,
     x: np.ndarray,
     weight_eps: float = WEIGHT_EPS,
-    member_tol: float = alg.MEMBER_TOL,
 ) -> np.ndarray:
     """Project ``x`` onto the abelian event algebra, weighted by the state.
 
@@ -306,7 +329,7 @@ def conditional_expectation(
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (omega.dim, omega.dim):
         raise DimensionMismatch("operator and state dimensions differ")
-    if m is not None and not contains(m, x, member_tol):
+    if m is not None and not contains(m, x):
         raise NotMember("operator lies outside the reference algebra")
     rho = omega.density
     out = np.zeros_like(x)

@@ -128,9 +128,9 @@ class TestCommutant:
         calls = []
         real = alg._null_columns
 
-        def counted(mat, rel_tol=alg.SVD_TOL):
+        def counted(mat):
             calls.append(mat.shape)
-            return real(mat, rel_tol)
+            return real(mat)
 
         monkeypatch.setattr(alg, "_null_columns", counted)
         rng = np.random.default_rng(33)
@@ -283,7 +283,7 @@ class TestNullColumns:
     @staticmethod
     def full_svd_null(mat):
         _, s, vh = np.linalg.svd(mat, full_matrices=True)
-        rank = int(np.sum(s > alg._svd_threshold(s, alg.SVD_TOL)))
+        rank = int(np.sum(s > alg._svd_threshold(s)))
         return vh[rank:].conj().T
 
     @pytest.mark.parametrize(

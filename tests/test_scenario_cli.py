@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import json
 
@@ -30,9 +31,8 @@ MINIMAL = {
 class TestParsing:
     def test_minimal_defaults(self):
         scn = parse_scenario_dict(dict(MINIMAL))
-        assert scn.thresholds.svd_tol == 1e-9
+        assert [f.name for f in dataclasses.fields(scn.thresholds)] == ["weight_eps"]
         assert scn.thresholds.weight_eps == 1e-8
-        assert scn.thresholds.delta == 1e-3
         assert scn.seed == 0
         assert scn.initial_state == "ground"
 
@@ -54,6 +54,14 @@ class TestParsing:
     def test_unknown_key_rejected(self):
         doc = dict(MINIMAL, flux_capacitor=1)
         with pytest.raises(ValidationError, match="unknown keys"):
+            parse_scenario_dict(doc)
+
+    @pytest.mark.parametrize("key", ["svd_tol", "delta"])
+    def test_unread_threshold_keys_rejected(self, key):
+        # No computation reads these, so a file setting them is refused.
+        doc = dict(MINIMAL, thresholds={"weight_eps": 1e-8, key: 1e-3})
+        match = f"unknown keys in thresholds: \\['{key}'\\]"
+        with pytest.raises(ValidationError, match=match):
             parse_scenario_dict(doc)
 
     def test_unknown_gate_key_rejected(self):
@@ -199,6 +207,12 @@ class TestCliCommands:
         assert main(["epr-demo", "--runs", "2000", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "empirical_correlation" in out
+
+    def test_delta_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--scenario", "cnot", "--delta", "0.01"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --delta" in capsys.readouterr().err
 
     def test_missing_scenario_is_error(self, capsys):
         assert main(["simulate"]) == 1
