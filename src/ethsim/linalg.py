@@ -132,7 +132,6 @@ def clustered_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     generous enough that numerically split degeneracies stay one level,
     otherwise centre detection downstream breaks.
     """
-    m = np.asarray(m)
     vals, vecs = np.linalg.eigh((m + dagger(m)) / 2.0)
     gap = CLUSTER_TOL * (1.0 + np.abs(vals).max(axis=-1, keepdims=True))
     labels = np.zeros(vals.shape, dtype=np.intp)

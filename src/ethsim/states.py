@@ -139,10 +139,9 @@ def born_weights(omega: State, event: EventFamily) -> list[float]:
 def positive_weights(weights, weight_eps: float) -> tuple[np.ndarray, float, int]:
     """Born weights with those at or below ``weight_eps`` set to zero, their
     total summed in branch order, and the index of the last weight kept."""
-    w = np.asarray(weights, dtype=float)
-    kept = w > weight_eps
-    masked = np.where(kept, w, 0.0)
-    return masked, sum(masked.tolist()), int(np.flatnonzero(kept)[-1])
+    masked = [w if w > weight_eps else 0.0 for w in weights]
+    last = max(k for k, w in enumerate(masked) if w)
+    return np.array(masked), sum(masked), last
 
 
 def inverse_cdf(weights: np.ndarray, u, last):
@@ -154,7 +153,8 @@ def inverse_cdf(weights: np.ndarray, u, last):
     never decrease and the first index past ``u`` is the number of running
     sums at or below it; that index always carries positive weight.
     """
-    passed = (np.cumsum(weights, axis=-1) <= np.asarray(u)[..., None]).sum(axis=-1)
+    # transposed, a stack's running sums meet their own row's u by broadcasting
+    passed = (weights.cumsum(axis=-1).T <= u).sum(axis=0)
     return np.minimum(passed, last)
 
 
