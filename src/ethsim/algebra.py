@@ -117,8 +117,8 @@ def contains(algebra: StarAlgebra, x: np.ndarray, tol: float = MEMBER_TOL) -> bo
     return hs_norm(x - algebra.project(x)) <= tol * (1.0 + hs_norm(x))
 
 
-def includes(outer: StarAlgebra, inner: StarAlgebra, tol: float = MEMBER_TOL) -> bool:
-    """``contains(outer, x, tol)`` for every basis element x of ``inner``.
+def includes(outer: StarAlgebra, inner: StarAlgebra) -> bool:
+    """``contains(outer, x)`` for every basis element x of ``inner``.
 
     All elements are projected onto ``outer`` with one matrix product.
     """
@@ -126,15 +126,15 @@ def includes(outer: StarAlgebra, inner: StarAlgebra, tol: float = MEMBER_TOL) ->
         raise DimensionMismatch("ambient dimensions differ")
     x = inner.stack
     residual = np.linalg.norm(x - (x @ outer.stack.conj().T) @ outer.stack, axis=1)
-    return bool(np.all(residual <= tol * (1.0 + np.linalg.norm(x, axis=1))))
+    return bool(np.all(residual <= MEMBER_TOL * (1.0 + np.linalg.norm(x, axis=1))))
 
 
-def span_equal(a: StarAlgebra, b: StarAlgebra, tol: float = MEMBER_TOL) -> bool:
+def span_equal(a: StarAlgebra, b: StarAlgebra) -> bool:
     if a.ambient_dim != b.ambient_dim:
         return False
     if a.dim != b.dim:
         return False
-    return includes(b, a, tol) and includes(a, b, tol)
+    return includes(b, a) and includes(a, b)
 
 
 def generate_algebra(generators, ambient_dim: int) -> StarAlgebra:
@@ -254,12 +254,12 @@ def center(algebra: StarAlgebra) -> StarAlgebra:
     return relative_commutant(algebra, algebra)
 
 
-def is_abelian(algebra: StarAlgebra, tol: float = MEMBER_TOL) -> bool:
+def is_abelian(algebra: StarAlgebra) -> bool:
     basis = algebra.tensor
     comms = np.einsum("aij,bjk->abik", basis, basis) - np.einsum(
         "bij,ajk->abik", basis, basis
     )
-    return float(np.max(np.abs(comms))) <= tol
+    return float(np.max(np.abs(comms))) <= MEMBER_TOL
 
 
 def _canonical_projection_order(projections):
@@ -273,11 +273,7 @@ def _canonical_projection_order(projections):
     return sorted(projections, key=key)
 
 
-def minimal_projections(
-    algebra: StarAlgebra,
-    rng_seed: int = 0,
-    tol: float = MEMBER_TOL,
-) -> tuple[np.ndarray, ...]:
+def minimal_projections(algebra: StarAlgebra, rng_seed: int = 0) -> tuple[np.ndarray, ...]:
     """The unique family of disjoint projections spanning an abelian algebra.
 
     Spectrally decomposes a random Hermitian combination of the basis with
@@ -285,7 +281,7 @@ def minimal_projections(
     membership-checked; a failure (non-generic draw) raises
     GenericityFailure so the caller can retry with a new seed.
     """
-    if not is_abelian(algebra, tol):
+    if not is_abelian(algebra):
         raise NotAbelian("minimal projections require an abelian algebra")
     rng = np.random.default_rng(rng_seed)
     k = algebra.dim
@@ -299,7 +295,7 @@ def minimal_projections(
             f"{k}-dimensional algebra"
         )
     for p in eig.projections:
-        if not contains(algebra, p, tol):
+        if not contains(algebra, p):
             raise GenericityFailure("an eigenprojection left the algebra span")
     return tuple(_canonical_projection_order(eig.projections))
 
@@ -307,13 +303,12 @@ def minimal_projections(
 def minimal_projections_retry(
     algebra: StarAlgebra,
     rng_seed: int = 0,
-    tol: float = MEMBER_TOL,
     attempts: int = 8,
 ) -> tuple[np.ndarray, ...]:
     last: Exception | None = None
     for k in range(attempts):
         try:
-            return minimal_projections(algebra, rng_seed + k, tol)
+            return minimal_projections(algebra, rng_seed + k)
         except GenericityFailure as exc:  # non-generic draw, try the next seed
             last = exc
     raise GenericityFailure(f"no generic draw in {attempts} attempts: {last}")

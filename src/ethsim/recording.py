@@ -240,6 +240,8 @@ def record_event(
         )
     rng = np.random.default_rng(seed)
     masked, total, last = positive_weights(detection.weights, weight_eps)
+    if last < 0:
+        raise RecordingConditionsFailed(f"no Born weight above weight_eps={weight_eps}")
     chosen = int(inverse_cdf(masked, rng.random() * total, last))
     pi = detection.event.projections[chosen]
     label = detection.event.labels[chosen]

@@ -138,9 +138,10 @@ def born_weights(omega: State, event: EventFamily) -> list[float]:
 
 def positive_weights(weights, weight_eps: float) -> tuple[np.ndarray, float, int]:
     """Born weights with those at or below ``weight_eps`` set to zero, their
-    total summed in branch order, and the index of the last weight kept."""
+    total summed in branch order, and the index of the last weight kept (-1
+    when none is kept)."""
     masked = [w if w > weight_eps else 0.0 for w in weights]
-    last = max(k for k, w in enumerate(masked) if w)
+    last = max((k for k, w in enumerate(masked) if w), default=-1)
     return np.array(masked), sum(masked), last
 
 
@@ -195,7 +196,7 @@ def centralizer_of_state(omega: State, m: StarAlgebra) -> StarAlgebra:
     return closed
 
 
-def _product_closed(sub: StarAlgebra, tol: float = MEMBER_TOL) -> bool:
+def _product_closed(sub: StarAlgebra) -> bool:
     basis = sub.tensor
     k = len(basis)
     if k == 0:
@@ -206,7 +207,7 @@ def _product_closed(sub: StarAlgebra, tol: float = MEMBER_TOL) -> bool:
         left = basis[start : start + chunk]
         prods = (left[:, None] @ basis[None]).reshape(len(left) * k, -1)
         proj = (sub.stack.conj() @ prods.T).T @ sub.stack
-        if float(np.abs(prods - proj).max()) > tol:
+        if float(np.abs(prods - proj).max()) > MEMBER_TOL:
             return False
     return True
 

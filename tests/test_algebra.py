@@ -156,7 +156,7 @@ class TestCommutant:
         rng = np.random.default_rng(21)
         for _ in range(20):
             a = random_generated_algebra(rng)
-            assert span_equal(commutant(commutant(a)), a, 1e-8)
+            assert span_equal(commutant(commutant(a)), a)
 
 
 class TestRelativeCommutantAndCenter:

@@ -237,6 +237,15 @@ class TestChainProtocol:
         se = math.sqrt(p * (1 - p) / n_runs)
         assert abs(ones / n_runs - p) < 3 * se
 
+    def test_no_weight_above_weight_eps_leaves_the_state_uncollapsed(self):
+        """Every Born weight at or below weight_eps: no branch is drawn, and
+        each step only reads its pointer from the uncollapsed state."""
+        m = self.make_model()
+        for seed in range(10):
+            p = run_protocol(m, probe_pointer_quantity(2, 2), 3, seed=seed, weight_eps=0.9)
+            u = np.random.default_rng(seed).random(3)
+            assert p.values == tuple(int(x >= np.cos(THETA) ** 2) for x in u)
+
     def test_horizon_guard(self):
         m = self.make_model(horizon=2)
         with pytest.raises(OutOfRange):

@@ -137,6 +137,14 @@ def test_scaled_draw_matches_protocol_and_recording_loops(weights):
         assert weights[got] > WEIGHT_EPS
 
 
+@given(st.lists(st.floats(0.0, WEIGHT_EPS), min_size=1, max_size=12))
+def test_no_weight_kept_gives_no_last_index(weights):
+    masked, total, last = positive_weights(weights, WEIGHT_EPS)
+    assert masked.tolist() == [0.0] * len(weights)
+    assert total == 0.0
+    assert last == -1
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
 def test_pointer_draw_matches_reference(values):

@@ -190,6 +190,12 @@ class TestRecordEvent:
         with pytest.raises(RecordingConditionsFailed):
             record_event(omega, q_reps, det, 1e-3, seed=0)
 
+    def test_rejects_weight_eps_above_every_weight(self):
+        omega, det = detection_with_diag_event([0.4, 0.35, 0.25])
+        q_reps = [np.zeros((3, 3), dtype=complex)] + list(det.event.projections)
+        with pytest.raises(RecordingConditionsFailed, match="no Born weight"):
+            record_event(omega, q_reps, det, 1e-6, seed=0, weight_eps=0.5)
+
     def test_ambiguous_pointer(self):
         omega, det = detection_with_diag_event([0.6, 0.4])
         # pointer family unrelated to the event: both dichotomy tests fail
