@@ -32,11 +32,11 @@ from .errors import DimensionMismatch, OutOfRange, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     WEIGHT_EPS,
+    _norm_within,
     cluster_slices,
     clustered_eigh,
     freeze,
     kron_all,
-    operator_norm,
     partial_trace,
 )
 from .states import EventDetection, State, _order_event
@@ -240,7 +240,7 @@ class ChainModel:
         for k, g in enumerate(gates):
             if g.shape != (system_dim * probe_dim, system_dim * probe_dim):
                 raise DimensionMismatch(f"gate {k + 1} has shape {g.shape}")
-            if operator_norm(g @ g.conj().T - np.eye(g.shape[0])) > DEFAULT_TOL:
+            if not _norm_within(g @ g.conj().T - np.eye(g.shape[0]), DEFAULT_TOL):
                 raise ValidationError(f"gate {k + 1} is not unitary")
         self.gates = tuple(freeze(g) for g in gates)
         self.step_unitaries = tuple(

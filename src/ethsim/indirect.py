@@ -38,11 +38,11 @@ from .linalg import (
     DEFAULT_TOL,
     SEPARATION_TOL,
     WEIGHT_EPS,
+    _norm_within,
     clustered_eigh,
     dagger,
     freeze,
     hermitian_eig,
-    operator_norm,
     partial_trace,
 )
 from .recording import PhysicalQuantity
@@ -98,15 +98,15 @@ class NdmScenario:
         gate = np.asarray(self.gate, dtype=np.complex128)
         if gate.shape != (s * p, s * p):
             raise DimensionMismatch("gate must act on system x probe")
-        if operator_norm(gate @ dagger(gate) - np.eye(s * p)) > DEFAULT_TOL:
+        if not _norm_within(gate @ dagger(gate) - np.eye(s * p), DEFAULT_TOL):
             raise ValidationError("gate is not unitary")
         a = np.asarray(self.conserved, dtype=np.complex128)
         if a.shape != (s, s):
             raise DimensionMismatch("conserved quantity must act on the system")
-        if operator_norm(a - dagger(a)) > DEFAULT_TOL:
+        if not _norm_within(a - dagger(a), DEFAULT_TOL):
             raise ValidationError("conserved quantity must be Hermitian")
         a_p = np.kron(a, np.eye(p))
-        if operator_norm(gate @ a_p - a_p @ gate) > DEFAULT_TOL:
+        if not _norm_within(gate @ a_p - a_p @ gate, DEFAULT_TOL):
             raise ValidationError("gate does not conserve the quantity")
         if self.initial_system.dim != s:
             raise DimensionMismatch("initial system state dimension mismatch")

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
 
-# Hermitian, projection, unitarity and partition-of-unity checks (operator norm)
+# Hermitian, projection, unitarity and partition-of-unity checks (operator
+# norm; a check passes on the Frobenius bound, else the spectral norm decides)
 DEFAULT_TOL = 1e-9
 # eigenvalues closer than CLUSTER_TOL * (1 + max|eigenvalue|) form one level
 CLUSTER_TOL = 1e-8
@@ -33,7 +34,8 @@ COS_TOL = 1e-8
 WEIGHT_EPS = 1e-8
 # collapse refuses branches whose probability is at or below COLLAPSE_EPS
 COLLAPSE_EPS = 1e-12
-# density matrices: Hermitian, unit trace and positive up to STATE_TOL
+# density matrices: Hermitian, unit trace and positive up to STATE_TOL (decided
+# as DEFAULT_TOL's checks are)
 STATE_TOL = 1e-10
 # two sectors' pointer distributions closer than this in L1 are not separated
 SEPARATION_TOL = 1e-9
@@ -90,16 +92,34 @@ SIGMA_Y = freeze(np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
 SIGMA_Z = freeze(np.array([[1, 0], [0, -1]], dtype=np.complex128))
 
 
+def _norm_within(a, tol: float, m: np.ndarray | None = None, lower: float | None = None) -> bool:
+    """Decide ``||a||_2 <= tol * (1 + ||m||_2)``, or ``||a||_2 <= tol`` without ``m``.
+
+    Every operator-norm tolerance check goes through here.  Since
+    ``||a||_2 <= ||a||_F`` and any ``lower <= ||m||_2`` (by default
+    ``||m||_F / sqrt(n)`` for an n x n ``m``) only shrinks the right-hand side,
+    ``||a||_F <= tol * (1 + lower)`` proves the check passes without an SVD.
+    Otherwise the exact spectral norms decide, as an SVD-only check would.
+    ``a`` may also be a scalar deviation, compared as it is.
+    """
+    scalar = np.ndim(a) == 0
+    if m is None:
+        lower = 0.0
+    elif lower is None:
+        lower = hs_norm(m) / math.sqrt(min(m.shape)) if m.size else 0.0
+    upper = float(a) if scalar else hs_norm(a)
+    if upper <= tol * (1.0 + lower):
+        return True
+    exact = upper if scalar else operator_norm(a)
+    return exact <= tol * (1.0 + (0.0 if m is None else operator_norm(m)))
+
+
 def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return operator_norm(m - dagger(m)) <= tol * (1.0 + operator_norm(m))
+    return _norm_within(m - dagger(m), tol, m)
 
 
 def is_projection(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    scale = 1.0 + operator_norm(m)
-    return (
-        operator_norm(m - dagger(m)) <= tol * scale
-        and operator_norm(m @ m - m) <= tol * scale
-    )
+    return _norm_within(m - dagger(m), tol, m) and _norm_within(m @ m - m, tol, m)
 
 
 @dataclass(frozen=True)

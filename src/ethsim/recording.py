@@ -32,7 +32,7 @@ from .errors import (
     RecordingConditionsFailed,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL, WEIGHT_EPS, freeze, is_projection, operator_norm
+from .linalg import DEFAULT_TOL, WEIGHT_EPS, _norm_within, freeze, is_projection, operator_norm
 from .states import (
     EventDetection,
     State,
@@ -77,7 +77,7 @@ class PhysicalQuantity:
             if not is_projection(p):
                 raise ValidationError(f"member {i} is not an orthogonal projection")
             total += p
-        if operator_norm(total - np.eye(dim)) > DEFAULT_TOL:
+        if not _norm_within(total - np.eye(dim), DEFAULT_TOL):
             raise ValidationError("projections must partition unity")
 
     @property
@@ -182,7 +182,7 @@ def check_recording_conditions(
     total = np.zeros((dim, dim), dtype=np.complex128)
     for q in q_reps:
         total += q
-    condition_a = operator_norm(total - np.eye(dim)) <= DEFAULT_TOL
+    condition_a = _norm_within(total - np.eye(dim), DEFAULT_TOL)
     w0 = float(omega.expect(q_reps[0]).real)
     condition_b = w0 <= delta
     max_dist = 0.0

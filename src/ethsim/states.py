@@ -32,6 +32,7 @@ from .linalg import (
     MEMBER_TOL,
     STATE_TOL,
     WEIGHT_EPS,
+    _norm_within,
     dagger,
     freeze,
     is_projection,
@@ -49,14 +50,16 @@ class State:
         rho = np.asarray(self.density, dtype=np.complex128)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise DimensionMismatch(f"density must be square, got {rho.shape}")
-        scale = 1.0 + operator_norm(rho)
-        if operator_norm(rho - dagger(rho)) > STATE_TOL * scale:
+        eigs = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
+        # the Hermitian part's spectral norm is a lower bound on ||rho||_2
+        lower = float(np.abs(eigs).max(initial=0.0))
+        if not _norm_within(rho - dagger(rho), STATE_TOL, rho, lower):
             raise ValueError("density matrix is not Hermitian")
         tr = np.trace(rho)
-        if abs(tr - 1.0) > STATE_TOL * scale:
+        if not _norm_within(abs(tr - 1.0), STATE_TOL, rho, lower):
             raise ValueError(f"density trace {tr} is not 1")
-        min_eig = float(np.linalg.eigvalsh((rho + dagger(rho)) / 2)[0])
-        if min_eig < -STATE_TOL * scale:
+        min_eig = float(eigs[0])
+        if not _norm_within(-min_eig, STATE_TOL, rho, lower):
             raise ValueError(f"density has negative eigenvalue {min_eig}")
         object.__setattr__(self, "density", freeze(rho))
 
@@ -98,10 +101,11 @@ class EventFamily:
             if not is_projection(p, tol):
                 raise ValueError(f"member {i} is not an orthogonal projection")
             total += p
-        if operator_norm(total - np.eye(d)) > tol * (1.0 + 1.0):
+        # relative to 1 + ||identity||_2
+        if not _norm_within(total - np.eye(d), 2.0 * tol):
             raise ValueError("projections do not sum to the identity")
         for a, b in combinations(range(len(self.projections)), 2):
-            if operator_norm(self.projections[a] @ self.projections[b]) > tol:
+            if not _norm_within(self.projections[a] @ self.projections[b], tol):
                 raise ValueError(f"members {a} and {b} are not disjoint")
 
 

@@ -1,15 +1,18 @@
 """Golden outputs: SHA-256 digests of CLI outputs.
 
 ``GOLDEN`` was pinned before the NDM runs were batched, ``CHAIN_GOLDEN``
-before the clustering and Born-draw rules were merged into one function each.
-Both changes altered how outputs are computed, not what they are, so these
-files must stay byte-identical.  The digests depend on the exact
+before the clustering and Born-draw rules were merged into one function each,
+``HAAR_GOLDEN`` before the operator-norm checks were first decided by the
+Frobenius norm.  These changes altered how outputs are computed, not what
+they are, so these files must stay byte-identical.  The digests depend on the exact
 floating-point results of NumPy and its BLAS (CSVs and traces print weights
 and the purification metric to 17 digits).
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from ethsim.cli import main
@@ -145,3 +148,66 @@ def test_chain_outputs_match_pinned_digests(command, scenario, tmp_path, capsys)
     if csv_digest is not None:
         assert sha256(out.read_bytes()) == csv_digest
         assert sha256(trace.read_bytes()) == trace_digest
+
+
+# A generic spectrum: a d=32 chain (s=2, p=2, T=4) with Haar-random explicit
+# gates and a random full-rank system state, built from a fixed seed.  The
+# bundled scenarios have structured gates, so only this one pins the sampled
+# path on a spectrum without symmetries.
+HAAR_SEED = 20191905
+
+
+def _haar_chain_text(seed: int) -> str:
+    rng = np.random.default_rng(seed)
+
+    def unitary(n):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))
+
+    def pairs(m):
+        return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    rho = g @ g.conj().T
+    doc = {
+        "name": "haar_chain",
+        "system_dim": 2,
+        "probe_dim": 2,
+        "horizon": 4,
+        "gates": [{"name": "explicit", "entries": pairs(unitary(4))} for _ in range(4)],
+        "initial_state": {"system_entries": pairs(rho / np.trace(rho).real)},
+        "seed": seed,
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+# command -> digests of the --out CSV, the --trace JSONL and stdout
+HAAR_GOLDEN = {
+    "simulate": (
+        "f8f783a740c83a90e417a0b76110c41799584f174a30ff79ae1461c7c4d478e9",
+        "b8bc5403cfacb3029c41fc22075ba6018f538e88fe0421ca4af578d752815ede",
+        "b1ac87f969da01a90660cc390bac4eb8b07d494e896c218f7a8fe0eeae51b29d",
+    ),
+    "tree": (
+        "d27cfe60e4b82aaad799a9124206f8b8ee8e98d61245be78f425a1dc970ca238",
+        "c22ea3ffc253bdee9fca963fc6713cc602391892cc7894727bb1548fee42cb32",
+        "c2b7a6c78d44b4fe37ecfb1d502d03b229e6dc0478c76de5881010e27b049171",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HAAR_GOLDEN))
+def test_haar_chain_outputs_match_pinned_digests(command, tmp_path, capsys):
+    csv_digest, trace_digest, stdout_digest = HAAR_GOLDEN[command]
+    scenario = tmp_path / "haar_chain.json"
+    scenario.write_text(_haar_chain_text(HAAR_SEED))
+    out, trace = tmp_path / "out.csv", tmp_path / "trace.jsonl"
+    argv = [command, "--scenario", str(scenario), "--out", str(out), "--trace", str(trace)]
+    if command == "simulate":
+        argv += ["--runs", "50"]
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode()) == stdout_digest
+    assert sha256(out.read_bytes()) == csv_digest
+    assert sha256(trace.read_bytes()) == trace_digest

@@ -1,11 +1,14 @@
-"""The shared Born draw and the shared clustered eigendecomposition.
+"""The shared Born draw, the shared clustered eigendecomposition and the
+shared operator-norm check.
 
 Histories, chain protocols, recording and the NDM kernel draw branches and
 pointers through ``states.inverse_cdf``; every clustering site takes its
-levels from ``linalg.clustered_eigh``.  The reference functions below are the
-hand-written loops those call sites used before, kept here verbatim in
-behaviour so the shared rule can be checked against them on exact cumulative
-boundaries and on weights at or below the positivity threshold.
+levels from ``linalg.clustered_eigh``; every operator-norm tolerance check
+goes through ``linalg._norm_within``, which decides by the Frobenius norm
+first.  The reference functions below are the code those call sites used
+before, kept here verbatim in behaviour so the shared rule can be checked
+against them on exact cumulative boundaries, on weights at or below the
+positivity threshold, and on matrices on either side of a norm threshold.
 """
 
 import math
@@ -19,13 +22,18 @@ from ethsim import algebra as alg
 from ethsim.histories import _draw_branch
 from ethsim.linalg import (
     CLUSTER_TOL,
+    DEFAULT_TOL,
+    STATE_TOL,
     WEIGHT_EPS,
     cluster_slices,
     clustered_eigh,
     hermitian_eig,
+    is_hermitian,
+    is_projection,
+    random_density,
     random_unitary,
 )
-from ethsim.states import inverse_cdf, positive_weights
+from ethsim.states import State, inverse_cdf, positive_weights
 
 # ---------------------------------------------------------------------------
 # reference loops
@@ -244,3 +252,182 @@ def test_commutant_of_hermitian_is_the_block_algebra(sizes):
     assert len(basis) == sum(m * m for m in sizes)
     for x in basis:
         assert np.abs(x @ h - h @ x).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the operator-norm checks
+
+
+def svd_norm(m):
+    return float(np.linalg.norm(m, 2))
+
+
+def ref_is_hermitian(m, tol=DEFAULT_TOL):
+    return svd_norm(m - m.conj().T) <= tol * (1.0 + svd_norm(m))
+
+
+def ref_is_projection(m, tol=DEFAULT_TOL):
+    scale = 1.0 + svd_norm(m)
+    return svd_norm(m - m.conj().T) <= tol * scale and svd_norm(m @ m - m) <= tol * scale
+
+
+def ref_state_error(rho):
+    """The message ``State`` raised with SVD-only checks, or None."""
+    scale = 1.0 + svd_norm(rho)
+    if svd_norm(rho - rho.conj().T) > STATE_TOL * scale:
+        return "density matrix is not Hermitian"
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > STATE_TOL * scale:
+        return f"density trace {tr} is not 1"
+    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
+    if min_eig < -STATE_TOL * scale:
+        return f"density has negative eigenvalue {min_eig}"
+    return None
+
+
+STATE_ERRORS = {
+    "hermitian": "density matrix is not Hermitian",
+    "trace": "density trace",
+    "negative": "density has negative eigenvalue",
+}
+
+
+def state_error(rho):
+    try:
+        State(rho)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def unit_vector(n, rng):
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def random_hermitian(n, rng):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (g + g.conj().T) / 2
+    return h / svd_norm(h)
+
+
+def straddle(base, direction, deviation, tol, factor):
+    """``base + c * direction`` with ``deviation(c) = factor * tol * (1 + ||base||)``.
+
+    Deviations are linear in ``c`` up to terms of order ``c**2`` (about
+    1e-18 here), far below the margin a factor at least 1e-3 from 1 leaves.
+    """
+    c0 = tol
+    ratio = deviation(base + c0 * direction) / (tol * (1.0 + svd_norm(base)))
+    return base + (c0 * factor / ratio) * direction
+
+
+# factors of the threshold on either side of it; a rank-one deviation has
+# equal Frobenius and spectral norms, a full-rank one a Frobenius norm up to
+# sqrt(n) times larger, so the Frobenius test fails and the SVD decides
+factors = st.one_of(st.floats(0.25, 0.999), st.floats(1.001, 4.0))
+dims = st.integers(2, 12)
+scales = st.sampled_from([1e-3, 1e-1, 1.0, 10.0, 1e3])
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims, scales, factors, st.booleans(), seeds)
+def test_is_hermitian_matches_the_svd_check(n, scale, factor, rank_one, seed):
+    rng = np.random.default_rng(seed)
+    h = scale * random_hermitian(n, rng)
+    if rank_one:
+        v = unit_vector(n, rng)
+        k = 1j * np.outer(v, v.conj())
+    else:
+        k = 1j * random_hermitian(n, rng)
+    m = straddle(h, k, lambda x: svd_norm(x - x.conj().T), DEFAULT_TOL, factor)
+    assert ref_is_hermitian(m) == (factor < 1.0)
+    assert is_hermitian(m) == ref_is_hermitian(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims, factors, st.sampled_from(["skew", "hermitian"]), st.booleans(), seeds)
+def test_is_projection_matches_the_svd_check(n, factor, kind, rank_one, seed):
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(1, n + 1))
+    block = np.asarray(random_unitary(n, rng))[:, :rank]
+    p = block @ block.conj().T
+    if rank_one:
+        # inside the range of p both deviations are rank one
+        v = block @ unit_vector(rank, rng)
+        direction = np.outer(v, v.conj())
+    else:
+        direction = random_hermitian(n, rng)
+    if kind == "skew":
+        direction = 1j * direction
+
+    def deviation(x):
+        return max(svd_norm(x - x.conj().T), svd_norm(x @ x - x))
+
+    m = straddle(p, direction, deviation, DEFAULT_TOL, factor)
+    assert ref_is_projection(m) == (factor < 1.0)
+    assert is_projection(m) == ref_is_projection(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims, factors, st.sampled_from(["hermitian", "trace", "negative"]), st.booleans(), seeds)
+def test_state_raises_what_the_svd_checks_raised(n, factor, kind, rank_one, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "negative":
+        # a zero eigenvalue pushed below zero, trace kept at 1
+        u = np.asarray(random_unitary(n, rng))
+        levels = rng.uniform(0.1, 1.0, n)
+        levels[0] = 0.0
+        levels /= levels.sum()
+        rho = (u * levels) @ u.conj().T
+        v, w = u[:, 0], u[:, 1]
+        direction = np.outer(w, w.conj()) - np.outer(v, v.conj())
+
+        def deviation(x):
+            return -float(np.linalg.eigvalsh((x + x.conj().T) / 2)[0])
+
+    else:
+        rho = np.asarray(random_density(n, rng))
+        if kind == "trace":
+            direction = rho
+
+            def deviation(x):
+                return abs(np.trace(x) - 1.0)
+
+        else:
+            if rank_one:
+                v = unit_vector(n, rng)
+                direction = 1j * np.outer(v, v.conj())
+            else:
+                direction = 1j * random_hermitian(n, rng)
+
+            def deviation(x):
+                return svd_norm(x - x.conj().T)
+
+    m = straddle(rho, direction, deviation, STATE_TOL, factor)
+    expected = ref_state_error(m)
+    assert (expected or "").startswith(STATE_ERRORS[kind]) == (factor > 1.0)
+    assert state_error(m) == expected
+
+
+def test_full_rank_deviation_under_the_threshold_is_decided_by_the_svd(monkeypatch):
+    """Frobenius norm above the threshold, spectral norm below it: the check
+    falls back to the SVD and passes, as the SVD-only check did."""
+    n = 16
+    rng = np.random.default_rng(3)
+    h = random_hermitian(n, rng)
+    k = 1j * np.eye(n)  # spectral norm 1, Frobenius norm 4
+    m = h + (0.5 * DEFAULT_TOL / 2.0) * (1.0 + svd_norm(h)) * k
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    # np.linalg.norm(m, 2) reaches svd through the implementation module
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(impl, "svd", counting_svd)
+    assert is_hermitian(m) and ref_is_hermitian(m)
+    assert calls
