@@ -39,6 +39,7 @@ from .histories import (
     missing_information,
     missing_information_per_event,
     relative_entropy_vs_reversed,
+    sample_histories,
     sample_history,
 )
 from .indirect import (

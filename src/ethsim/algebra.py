@@ -98,9 +98,6 @@ class StarAlgebra:
         coeffs = self.stack.conj() @ v
         return (self.stack.T @ coeffs).reshape(self.ambient_dim, self.ambient_dim)
 
-    def coefficients(self, x: np.ndarray) -> np.ndarray:
-        return self.stack.conj() @ np.asarray(x, dtype=np.complex128).reshape(-1)
-
 
 def from_span(mats, ambient_dim: int) -> StarAlgebra:
     basis = orthonormalize(mats, ambient_dim)

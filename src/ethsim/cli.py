@@ -76,10 +76,9 @@ def cmd_simulate(scn: Scenario, args) -> int:
     runs = args.runs if args.runs is not None else 1
     seed = args.seed if args.seed is not None else scn.seed
     seeds = np.random.SeedSequence(seed).generate_state(runs)
-    histories = [
-        hist.sample_history(model, seed=int(s), weight_eps=scn.thresholds.weight_eps)
-        for s in seeds
-    ]
+    histories = hist.sample_histories(
+        model, [int(s) for s in seeds], weight_eps=scn.thresholds.weight_eps
+    )
     trace_lines = []
     csv_rows = []
     for r, h in enumerate(histories):

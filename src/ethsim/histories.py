@@ -63,13 +63,15 @@ def _detect(
     raise ValueError(f"unknown detection engine '{engine}'")
 
 
-def _draw_branch(weights, weight_eps: float, u: float) -> int:
-    """Pick a branch index by Born weights; zero-weight branches are skipped.
+def _born_cdf(weights, weight_eps: float):
+    """A node's Born weights, normalised over those above ``weight_eps``
+    (the rest zeroed), and the last index kept.
 
-    ``u`` is compared with the running sums of the normalised weights.
+    ``inverse_cdf(born, u, last)`` is then the branch a run with uniform
+    ``u`` takes; zero-weight branches are never chosen.
     """
     masked, total, last = positive_weights(weights, weight_eps)
-    return int(inverse_cdf(masked / total, u, last))
+    return masked / total, last
 
 
 # ---------------------------------------------------------------------------
@@ -121,32 +123,40 @@ def sample_history(
     Steps without an actual event leave the state untouched; the state only
     changes through collapse.
     """
+    return sample_histories(model, [seed], horizon, weight_eps, engine)[0]
+
+
+def sample_histories(
+    model: ChainModel,
+    seeds,
+    horizon: int | None = None,
+    weight_eps: float = WEIGHT_EPS,
+    engine: str = "reduced",
+) -> list[History]:
+    """One history per seed, each equal to ``sample_history`` with that seed.
+
+    A history's state after step t depends only on the branches chosen so
+    far, so the runs are advanced breadth-first, one depth at a time, grouped
+    by the tree node they stand on.  Each distinct node is detected once, and
+    each distinct branch of it collapsed and fingerprinted once into a step
+    that every run taking that branch shares.  Each run draws its uniforms
+    from its own ``default_rng(seed)``, one per actual event, as a lone run
+    does.  Only the states of the current depth are held.
+    """
     horizon = model.horizon if horizon is None else horizon
     if horizon > model.horizon:
         raise OutOfRange("horizon exceeds the model horizon")
-    rng = np.random.default_rng(seed)
-    state = model.initial_state
-    steps = []
+    seeds = list(seeds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    steps = [[] for _ in seeds]
+    # the nodes of the current depth: (state, indices of the runs on it)
+    level = [(model.initial_state, range(len(seeds)))] if seeds else []
     for t in range(1, horizon + 1):
-        det = _detect(model, state, t, weight_eps, engine)
-        if det.actual:
-            u = float(rng.random())
-            k = _draw_branch(det.weights, weight_eps, u)
-            state = collapse(state, det.event.projections[k], weight_eps)
-            steps.append(
-                HistoryStep(
-                    t=t,
-                    event=det.event,
-                    weights=det.weights,
-                    chosen_label=det.event.labels[k],
-                    weight=det.weights[k],
-                    entropy=missing_information(det.weights),
-                    post_state_fingerprint=fingerprint(state.density),
-                )
-            )
-        else:
-            steps.append(
-                HistoryStep(
+        below = []
+        for state, runs in level:
+            det = _detect(model, state, t, weight_eps, engine)
+            if not det.actual:
+                step = HistoryStep(
                     t=t,
                     event=None,
                     weights=(),
@@ -155,8 +165,36 @@ def sample_history(
                     entropy=0.0,
                     post_state_fingerprint=fingerprint(state.density),
                 )
-            )
-    return History(tuple(steps), state, seed)
+                for r in runs:
+                    steps[r].append(step)
+                below.append((state, runs))
+                continue
+            born, last = _born_cdf(det.weights, weight_eps)
+            branches: dict[int, list[int]] = {}
+            for r in runs:
+                k = int(inverse_cdf(born, float(rngs[r].random()), last))
+                branches.setdefault(k, []).append(r)
+            entropy = missing_information(det.weights)
+            for k, taken in branches.items():
+                child = collapse(state, det.event.projections[k], weight_eps)
+                step = HistoryStep(
+                    t=t,
+                    event=det.event,
+                    weights=det.weights,
+                    chosen_label=det.event.labels[k],
+                    weight=det.weights[k],
+                    entropy=entropy,
+                    post_state_fingerprint=fingerprint(child.density),
+                )
+                for r in taken:
+                    steps[r].append(step)
+                below.append((child, taken))
+        level = below
+    final = [None] * len(seeds)
+    for state, runs in level:
+        for r in runs:
+            final[r] = state
+    return [History(tuple(s), f, seed) for s, f, seed in zip(steps, final, seeds)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +265,6 @@ class HistoryTree:
                 branches.append((child, acc + [step]))
             stack.extend(reversed(branches))
         return paths
-
-    @property
-    def has_events(self) -> bool:
-        return any(
-            step[1] is not None for path in self.step_paths() for step in path
-        )
 
 
 def enumerate_tree(

@@ -50,26 +50,9 @@ def freeze(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def as_operator(entries, dim: int | None = None) -> np.ndarray:
-    """Validate and freeze a square finite complex matrix."""
-    m = np.asarray(entries, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if dim is not None and m.shape[0] != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {m.shape[0]}")
-    if not np.all(np.isfinite(m.view(np.float64))):
-        raise ValueError("matrix entries must be finite")
-    return freeze(m)
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return m.conj().swapaxes(-1, -2)
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a* b)."""
-    return complex(np.vdot(a, b))
 
 
 def hs_norm(a: np.ndarray) -> float:
@@ -133,13 +116,6 @@ class HermitianEigensystem:
 
     eigenvalues: tuple[float, ...]
     projections: tuple[np.ndarray, ...]
-
-    def reconstruct(self) -> np.ndarray:
-        dim = self.projections[0].shape[0]
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for lam, p in zip(self.eigenvalues, self.projections):
-            out += lam * p
-        return out
 
 
 def clustered_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from ethsim.histories import (
     epr_demo,
     history_measure,
     relative_entropy_vs_reversed,
-    sample_history,
+    sample_histories,
 )
 from ethsim.indirect import frequencies, ndm_experiment, weak_measurement_trajectory
 from ethsim.linalg import operator_norm, random_density
@@ -230,8 +230,7 @@ class TestCriterion6:
                 seeds = np.random.SeedSequence(master_seed).generate_state(10_000)
                 counts = {k: 0 for k in expected}
                 lines = []
-                for s in seeds:
-                    h = sample_history(model, seed=int(s))
+                for h in sample_histories(model, [int(s) for s in seeds]):
                     key = tuple(step.chosen_label for step in h.steps)
                     counts[key] += 1
                     for step in h.steps:

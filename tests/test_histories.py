@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ethsim import histories as hist
 from ethsim.chain import ChainModel, build_gate, chain_initial_state
-from ethsim.errors import DepthExceeded, TreeTooLarge
+from ethsim.errors import DepthExceeded, OutOfRange, TreeTooLarge
 from ethsim.histories import (
+    History,
+    HistoryStep,
     check_sum_rule,
     enumerate_tree,
     epr_demo,
@@ -15,8 +18,13 @@ from ethsim.histories import (
     missing_information_per_event,
     relative_entropy_vs_reversed,
     reversed_measure,
+    sample_histories,
     sample_history,
 )
+from ethsim.linalg import WEIGHT_EPS, random_density, random_unitary
+from ethsim.scenario import build_model, resolve_scenario
+from ethsim.states import collapse, inverse_cdf, positive_weights
+from ethsim.trace import fingerprint
 
 THETA = 0.6
 
@@ -39,6 +47,82 @@ def trivial_model(horizon=2):
     g = build_gate("identity", 2, 2)
     init = chain_initial_state(np.eye(2, dtype=complex) / 2, 2, 2, horizon)
     return ChainModel(2, 2, horizon, [g] * horizon, init)
+
+
+def haar_model(seed=3, horizon=4):
+    """s=2, p=2 chain (d=32) with Haar-random gates: 16 leaves."""
+    rng = np.random.default_rng(seed)
+    gates = [random_unitary(4, rng) for _ in range(horizon)]
+    init = chain_initial_state(random_density(2, rng), 2, 2, horizon)
+    return ChainModel(2, 2, horizon, gates, init)
+
+
+def reference_history(model, horizon=None, seed=0, weight_eps=WEIGHT_EPS, engine="reduced"):
+    """The per-run sampling loop ``sample_history`` ran before the runs of a
+    batch shared their tree nodes: detect, draw, collapse and fingerprint at
+    every step of every run."""
+    horizon = model.horizon if horizon is None else horizon
+    rng = np.random.default_rng(seed)
+    state = model.initial_state
+    steps = []
+    for t in range(1, horizon + 1):
+        det = hist._detect(model, state, t, weight_eps, engine)
+        if det.actual:
+            u = float(rng.random())
+            masked, total, last = positive_weights(det.weights, weight_eps)
+            k = int(inverse_cdf(masked / total, u, last))
+            state = collapse(state, det.event.projections[k], weight_eps)
+            steps.append(
+                HistoryStep(
+                    t=t,
+                    event=det.event,
+                    weights=det.weights,
+                    chosen_label=det.event.labels[k],
+                    weight=det.weights[k],
+                    entropy=missing_information(det.weights),
+                    post_state_fingerprint=fingerprint(state.density),
+                )
+            )
+        else:
+            steps.append(
+                HistoryStep(
+                    t=t,
+                    event=None,
+                    weights=(),
+                    chosen_label=None,
+                    weight=1.0,
+                    entropy=0.0,
+                    post_state_fingerprint=fingerprint(state.density),
+                )
+            )
+    return History(tuple(steps), state, seed)
+
+
+def assert_same_history(got, want):
+    # dataclass == would compare the events' projection arrays elementwise
+    assert got.seed == want.seed
+    assert len(got.steps) == len(want.steps)
+    for a, b in zip(got.steps, want.steps):
+        assert (a.t, a.chosen_label, a.weights, a.weight, a.entropy) == (
+            b.t,
+            b.chosen_label,
+            b.weights,
+            b.weight,
+            b.entropy,
+        )
+        assert a.post_state_fingerprint == b.post_state_fingerprint
+        assert (a.event is None) == (b.event is None)
+        if a.event is not None:
+            assert a.event.labels == b.event.labels
+            assert a.event.time_index == b.event.time_index
+            assert len(a.event.projections) == len(b.event.projections)
+            for p, q in zip(a.event.projections, b.event.projections):
+                assert np.array_equal(p, q)
+    assert np.array_equal(got.final_state.density, want.final_state.density)
+
+
+def label_paths(histories):
+    return [tuple(s.chosen_label for s in h.steps) for h in histories]
 
 
 class TestMissingInformation:
@@ -97,6 +181,76 @@ class TestSampleHistory:
         p = np.cos(THETA) ** 2
         se = math.sqrt(p * (1 - p) / n)
         assert abs(count0 / n - p) < 3 * se
+
+
+class TestSampleHistories:
+    @pytest.mark.parametrize(
+        "make, kwargs, seeds",
+        [
+            (cnot_model, {}, range(40)),
+            (lambda: build_model(resolve_scenario("commuting")), {}, range(40)),
+            (trivial_model, {}, range(5)),
+            (cnot_model, {"engine": "generic"}, range(40)),
+            (pswap_model, {"horizon": 2}, range(40)),
+            (pswap_model, {}, range(40)),
+            (pswap_model, {}, [3, 3, 5, 3, 5]),
+            # d=32, 16 leaves: the runs rarely share a node below t=1
+            (haar_model, {}, [11, 12, 13]),
+        ],
+        ids=[
+            "cnot",
+            "commuting",
+            "trivial",
+            "generic",
+            "short-horizon",
+            "pswap",
+            "repeated-seeds",
+            "haar",
+        ],
+    )
+    def test_batch_equals_lone_runs(self, make, kwargs, seeds):
+        model = make()
+        batch = sample_histories(model, seeds, **kwargs)
+        assert len(batch) == len(seeds)
+        for seed, h in zip(seeds, batch):
+            assert_same_history(h, reference_history(model, seed=seed, **kwargs))
+
+    def test_cnot_runs_split_at_the_first_step(self):
+        paths = set(label_paths(sample_histories(cnot_model(), range(40))))
+        assert {p[0] for p in paths} == {"t1:e0", "t1:e1"}
+        assert all(p[1] is None for p in paths)
+
+    def test_no_seeds_and_horizon_guard(self):
+        model = cnot_model()
+        assert sample_histories(model, []) == []
+        with pytest.raises(OutOfRange):
+            sample_histories(model, [0], horizon=model.horizon + 1)
+
+    @pytest.mark.parametrize("make", [pswap_model, haar_model])
+    def test_each_node_detected_and_each_branch_collapsed_once(self, make, monkeypatch):
+        model = make()
+        detected, collapsed = [], []
+        detect, fold = hist._detect, hist.collapse
+
+        def counting_detect(model, state, t, *args, **kwargs):
+            detected.append(t)
+            return detect(model, state, t, *args, **kwargs)
+
+        def counting_collapse(*args, **kwargs):
+            collapsed.append(1)
+            return fold(*args, **kwargs)
+
+        monkeypatch.setattr(hist, "_detect", counting_detect)
+        monkeypatch.setattr(hist, "collapse", counting_collapse)
+        paths = label_paths(sample_histories(model, range(30)))
+        horizon = model.horizon
+        # nodes at depths 0..T-1 are the distinct label prefixes of those lengths
+        nodes = {p[:n] for p in paths for n in range(horizon)}
+        branches = {p[:n] for p in paths for n in range(1, horizon + 1) if p[n - 1] is not None}
+        assert len(detected) == len(nodes)
+        assert len(collapsed) == len(branches)
+        # with 30 runs the per-run loop would detect 30 times per depth
+        assert len(detected) < 30 * horizon
 
 
 class TestEnumerateTree:

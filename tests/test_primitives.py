@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ethsim import algebra as alg
-from ethsim.histories import _draw_branch
+from ethsim.histories import _born_cdf
 from ethsim.linalg import (
     CLUSTER_TOL,
     DEFAULT_TOL,
@@ -126,8 +126,9 @@ def test_history_draw_matches_reference_on_boundaries(weights):
     assume(any(w > WEIGHT_EPS for w in weights))
     total = sum(w for w in weights if w > WEIGHT_EPS)
     bounds = running([w / total for w in weights if w > WEIGHT_EPS])
+    born, last = _born_cdf(weights, WEIGHT_EPS)
     for u in boundary_points(bounds):
-        assert _draw_branch(weights, WEIGHT_EPS, u) == ref_history_branch(
+        assert int(inverse_cdf(born, u, last)) == ref_history_branch(
             weights, WEIGHT_EPS, u
         )
 
