@@ -51,6 +51,7 @@ from .indirect import (
     ndm_experiment,
     purification_metric,
     run_protocol,
+    weak_measurement_trajectories,
     weak_measurement_trajectory,
 )
 from .linalg import (

@@ -20,7 +20,9 @@ pure, and it has no horizon cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from collections import deque
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -35,8 +37,10 @@ from .errors import (
 )
 from .chain import ChainModel, embed_system_probe, ground_density
 from .linalg import (
+    CERTAIN_TOL,
     DEFAULT_TOL,
     SEPARATION_TOL,
+    TIE_TOL,
     WEIGHT_EPS,
     _norm_within,
     clustered_eigh,
@@ -155,6 +159,15 @@ class NdmScenario:
 # Uniforms pre-drawn per run and topped up in blocks of this size; a step
 # consumes at most two, so the buffer does not grow with the step count.
 DRAW_BLOCK = 64
+# The driver tops up, every REFILL_EVERY steps, each run that has used more
+# than REFILL_AT of its buffer.
+REFILL_EVERY = DRAW_BLOCK // 4
+REFILL_AT = DRAW_BLOCK - 2 * REFILL_EVERY
+# The driver keeps the nodes of the last RECENT_LEVELS steps alive, so a
+# chain that cycles through up to RECENT_LEVELS + 1 states finds them again
+# and its collapses close the cycle.  An older node lives only while a run
+# stands on it or a live node's collapse leads to it.
+RECENT_LEVELS = 8
 
 
 def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -178,6 +191,9 @@ class _Branches:
     labels: np.ndarray  # (R, s) sector of each eigenvector
     positive: np.ndarray  # (R, s) weight above weight_eps
     weights: np.ndarray  # (R, s) sector weights, zero where not positive
+    total: np.ndarray  # (R,) sum of the weights
+    last: np.ndarray  # (R,) last positive sector, where a draw past the total lands
+    fixed: np.ndarray  # (R,) first positive sector, taken when the row does not branch
     branched: np.ndarray  # (R,) two or more positive sectors: a Born draw
     trivial: np.ndarray  # (R,) one sector, the whole space: no event, no click
 
@@ -185,6 +201,15 @@ class _Branches:
     def draws(self) -> np.ndarray:
         """Uniforms each run consumes: one per branch draw, one per pointer draw."""
         return self.branched.astype(np.intp) + ~self.trivial
+
+    def take(self, i: int) -> _Branches:
+        """Row ``i`` of every field."""
+        return _Branches(*(getattr(self, f.name)[i] for f in fields(self)))
+
+    @staticmethod
+    def stack(rows: list[_Branches]) -> _Branches:
+        """Rows made by ``take``, stacked in order."""
+        return _Branches(*(np.stack([getattr(r, f.name) for r in rows]) for f in fields(_Branches)))
 
 
 def _branch_stage(rho: np.ndarray, scn: NdmScenario) -> _Branches:
@@ -199,13 +224,17 @@ def _branch_stage(rho: np.ndarray, scn: NdmScenario) -> _Branches:
     members = labels[:, None, :] == slots[:, None]
     weights = np.maximum(np.where(members, vals[:, None, :], 0.0).sum(axis=2), 0.0)
     positive = (weights > scn.weight_eps) & (slots <= labels[:, -1:])
+    weights = np.where(positive, weights, 0.0)
     return _Branches(
         sigma=sigma,
         rho_post=rho_post,
         vecs=vecs,
         labels=labels,
         positive=positive,
-        weights=np.where(positive, weights, 0.0),
+        weights=weights,
+        total=weights.sum(axis=1),
+        last=s - 1 - positive[:, ::-1].argmax(axis=1),
+        fixed=positive.argmax(axis=1),
         branched=positive.sum(axis=1) >= 2,
         trivial=labels[:, -1] == 0,
     )
@@ -228,33 +257,41 @@ def _sector_projection(vecs: np.ndarray, members: np.ndarray) -> np.ndarray:
     return out
 
 
+def _collapse_onto(br: _Branches, scn: NdmScenario, sectors: np.ndarray):
+    """Collapse each row onto its sector in ``sectors``.
+
+    Returns the sectors' weights, the pointer distributions of the collapsed
+    joint states and the post-step system states.  A trivial row keeps its
+    unconditional post-step state, with weight one, and clicks nothing: its
+    pointer distribution is all on value 0.
+    """
+    s, p = scn.system_dim, scn.probe_dim
+    w = br.weights[np.arange(len(sectors)), sectors]
+    pi = _kron_stack(_sector_projection(br.vecs, br.labels == sectors[:, None]), np.eye(p))
+    sigma_branch = pi @ br.sigma @ pi / w[:, None, None]
+    q = np.asarray(scn.quantity.projections)
+    pointer = (sigma_branch[:, None] @ q[None]).trace(axis1=2, axis2=3).real.clip(0.0, None)
+    pointer /= pointer.sum(axis=1, keepdims=True)
+    new_rho = partial_trace(sigma_branch, [s, p], keep=[0])
+    trivial = br.trivial
+    return (
+        np.where(trivial, 1.0, w),
+        np.where(trivial[:, None], np.eye(pointer.shape[1])[0], pointer),
+        np.where(trivial[:, None, None], br.rho_post, new_rho),
+    )
+
+
 def _collapse_stage(br: _Branches, scn: NdmScenario, u: np.ndarray):
     """Born-choose a sector, collapse onto it and sample the pointer.
 
     ``u`` holds each run's uniforms, (R, 2): column 0 feeds the branch draw,
     column 1 the pointer draw; entries a run does not draw are ignored.
     Returns the pointer values, the chosen sectors' weights and the
-    post-step system states.
+    post-step system states.  Part of the lone-step reference below.
     """
-    s, p = scn.system_dim, scn.probe_dim
-    weights, positive = br.weights, br.positive
-    last_positive = s - 1 - positive[:, ::-1].argmax(axis=1)
-    born = inverse_cdf(weights, u[:, 0] * weights.sum(axis=1), last_positive)
-    chosen = np.where(br.branched, born, positive.argmax(axis=1))
-    w = weights[np.arange(len(chosen)), chosen]
-    pi = _kron_stack(_sector_projection(br.vecs, br.labels == chosen[:, None]), np.eye(p))
-    sigma_branch = pi @ br.sigma @ pi / w[:, None, None]
-    q = np.asarray(scn.quantity.projections)
-    pointer = (sigma_branch[:, None] @ q[None]).trace(axis1=2, axis2=3).real.clip(0.0, None)
-    pointer /= pointer.sum(axis=1, keepdims=True)
-    eta = inverse_cdf(pointer, u[:, 1], pointer.shape[1] - 1)
-    new_rho = partial_trace(sigma_branch, [s, p], keep=[0])
-    trivial = br.trivial
-    return (
-        np.where(trivial, 0, eta),
-        np.where(trivial, 1.0, w),
-        np.where(trivial[:, None, None], br.rho_post, new_rho),
-    )
+    born = inverse_cdf(br.weights, u[:, 0] * br.total, br.last)
+    weight, pointer, new_rho = _collapse_onto(br, scn, np.where(br.branched, born, br.fixed))
+    return inverse_cdf(pointer, u[:, 1], pointer.shape[1] - 1), weight, new_rho
 
 
 @dataclass
@@ -272,7 +309,12 @@ def _measurement_step(
 ) -> StepOutcome:
     """One probe interaction: branch on the post-step system sectors, then
     sample the pointer from the collapsed joint state.  Draws from ``rng``
-    exactly the uniforms the step uses, branch draw first."""
+    exactly the uniforms the step uses, branch draw first.
+
+    The lone-step reference: the tests check that every run of the driver
+    ``_ndm_runs`` equals a loop of these calls.  Nothing in the package
+    calls it.
+    """
     br = _branch_stage(np.asarray(rho_s)[None], scn)
     k = int(br.draws[0])
     u = np.zeros((1, 2))
@@ -329,63 +371,300 @@ def classify_frequencies(freq: np.ndarray, p_exact: np.ndarray, prev: int | None
     dists = np.abs(p_exact - freq[None, :]).sum(axis=1)
     best = int(np.argmin(dists))
     if prev is not None:
-        tied = np.flatnonzero(np.abs(dists - dists[best]) < 1e-12)
+        tied = np.flatnonzero(np.abs(dists - dists[best]) < TIE_TOL)
         if len(tied) > 1 and prev in tied:
             return prev
     return best
+
+
+# ---------------------------------------------------------------------------
+# the driver: one node per distinct system state
+
+
+class _Node:
+    """One distinct system state the runs reach.
+
+    Given the state, a probe step's sectors, weights and collapses are
+    deterministic; only a run's uniforms are random.  So the branch stage
+    runs once per node and each sector's collapse once per (node, sector),
+    and every run standing on the node shares them.
+    """
+
+    __slots__ = ("rho", "purification", "expectation", "branches", "outcomes", "__weakref__")
+
+    def __init__(self, rho: np.ndarray, purification: float, expectation: float):
+        self.rho = rho
+        self.purification = purification  # 1 - max_alpha tr(rho P_alpha)
+        self.expectation = expectation  # tr(rho A)
+        self.branches: _Branches | None = None  # this node's row, once a run stands on it
+        self.outcomes: dict[int, _Outcome] = {}  # sector -> collapse, once a run takes it
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    """One node collapsed onto one sector."""
+
+    pointer: np.ndarray  # pointer distribution of the collapsed joint state
+    light: bool  # the sector weighs less than one by more than CERTAIN_TOL
+    child: _Node  # the post-step system state
+
+
+class _NodeMemo:
+    """The nodes of one driver call, keyed by the bytes of their state.
+
+    Nodes are held weakly: a node lives while a run stands on it, a live
+    node's collapse leads to it, or it is among the last RECENT_LEVELS
+    steps' nodes.  A chain that revisits its states keeps its few nodes;
+    one that never does holds O(runs) of them.
+    """
+
+    def __init__(self, scn: NdmScenario, drift: np.ndarray | None):
+        self.scn = scn
+        self.drift = drift
+        self.sectors = np.asarray(scn.sector_projections)
+        self.conserved = np.asarray(scn.conserved)
+        self.table: weakref.WeakValueDictionary[bytes, _Node] = weakref.WeakValueDictionary()
+
+    def nodes(self, rhos: np.ndarray) -> list[_Node]:
+        """The node of each state in the stack ``rhos``, made where none lives."""
+        keys = [rho.tobytes() for rho in rhos]
+        nodes = [self.table.get(key) for key in keys]
+        fresh: dict[bytes, int] = {}
+        for i, (key, node) in enumerate(zip(keys, nodes)):
+            if node is None:
+                fresh.setdefault(key, i)
+        if not fresh:
+            return nodes
+        rows = rhos[list(fresh.values())]
+        in_sector = np.trace(rows[:, None] @ self.sectors[None], axis1=2, axis2=3).real
+        purification = (1.0 - in_sector.max(axis=1)).tolist()
+        expectation = np.trace(rows @ self.conserved, axis1=1, axis2=2).real.tolist()
+        made = {
+            key: _Node(rho.copy(), pur, ex)
+            for key, rho, pur, ex in zip(fresh, rows, purification, expectation)
+        }
+        self.table.update(made)
+        return [made[key] if node is None else node for key, node in zip(keys, nodes)]
+
+    def branch(self, nodes) -> None:
+        """One stacked branch stage for the nodes that have none yet."""
+        new = [node for node in nodes if node.branches is None]
+        if not new:
+            return
+        d = self.drift
+        states = np.stack([n.rho if d is None else d @ n.rho @ dagger(d) for n in new])
+        br = _branch_stage(states, self.scn)
+        for i, node in enumerate(new):
+            node.branches = br.take(i)
+
+    def collapse(self, pairs) -> None:
+        """One stacked collapse for (node, sector) pairs that have none yet."""
+        rows = _Branches.stack([node.branches for node, _ in pairs])
+        sectors = np.array([a for _, a in pairs], dtype=np.intp)
+        weight, pointer, rho = _collapse_onto(rows, self.scn, sectors)
+        children = self.nodes(rho)
+        for (node, a), w, dist, child in zip(pairs, weight.tolist(), pointer, children):
+            node.outcomes[a] = _Outcome(dist, w < 1.0 - CERTAIN_TOL, child)
+
+
+class _Level:
+    """The nodes the runs can stand on at one step, with their rows stacked.
+
+    A run is an index into ``nodes``; slot ``i * s + a`` indexes the tables
+    of node i's collapse onto sector a.  The next level holds the children
+    of every collapse known here, so a chain that keeps revisiting its
+    states keeps one level, and a step is a few gathers over the runs.
+    """
+
+    def __init__(self, nodes: tuple[_Node, ...], s: int, k: int):
+        self.nodes = nodes
+        self.index = {node: i for i, node in enumerate(nodes)}
+        self.s = s
+        self.br: _Branches | None = None  # stacked branch rows, once prepared
+        n = len(nodes) * s
+        self.known = np.zeros(n, dtype=bool)
+        self.pointer = np.zeros((n, k))
+        self.light = np.zeros(n, dtype=bool)
+        self.purification = np.zeros(n)  # the child's
+        self.expectation = np.zeros(n)  # the child's
+        self.child: list[_Node | None] = [None] * n
+        self.child_at = np.zeros(n, dtype=np.intp)  # the child's index in ``next``
+        self.next: _Level | None = None
+        self.complete = False  # every reachable slot known, ``next`` holds all children
+        for i, node in enumerate(nodes):
+            for a, out in node.outcomes.items():
+                self._fill(i * s + a, out)
+
+    def _fill(self, slot: int, out: _Outcome) -> None:
+        self.known[slot] = True
+        self.pointer[slot] = out.pointer
+        self.light[slot] = out.light
+        self.purification[slot] = out.child.purification
+        self.expectation[slot] = out.child.expectation
+        self.child[slot] = out.child
+
+    def prepare(self, memo: _NodeMemo) -> None:
+        """Stack the nodes' branch rows, running the branch stage where missing."""
+        if self.br is not None:
+            return
+        memo.branch(self.nodes)
+        br = self.br = _Branches.stack([node.branches for node in self.nodes])
+        self.draws = br.draws
+        self.pointer_draw = self.draws - 1  # offset of the pointer's uniform
+        self.branching = bool(br.branched.any())
+        self.branched = np.repeat(br.branched, self.s)  # per slot
+        # the slots a run can take: each positive sector where the node
+        # branches, else its one fixed sector
+        fixed = np.arange(self.s) == br.fixed[:, None]
+        self.reachable = np.flatnonzero(np.where(br.branched[:, None], br.positive, fixed))
+
+    def advance(self, slots: np.ndarray, memo: _NodeMemo) -> _Level:
+        """The next level, once every slot taken has its collapse."""
+        if self.next is not None and self.known[slots].all():
+            return self.next
+        s = self.s
+        missing = sorted(set(slots[~self.known[slots]].tolist()))
+        pairs = [(self.nodes[t // s], t % s) for t in missing]
+        new = [(node, a) for node, a in pairs if a not in node.outcomes]
+        if new:
+            memo.collapse(new)
+        for t, (node, a) in zip(missing, pairs):
+            self._fill(t, node.outcomes[a])
+        # keep this level, or the current next one, when it holds every child
+        children = [c for c in self.child if c is not None]
+        for level in (self, self.next):
+            if level is not None and all(c in level.index for c in children):
+                break
+        else:
+            level = _Level(_closure(children), s, self.pointer.shape[1])
+        self.next = level
+        self.child_at = np.array([level.index.get(c, 0) for c in self.child], dtype=np.intp)
+        self.complete = bool(self.known[self.reachable].all())
+        return level
+
+    def record(self, rec: _Runs, slots: np.ndarray, steps: slice) -> None:
+        """Fill the per-step records of ``steps``, taken slots ``slots``."""
+        rec.branched[:, steps] = self.branched[slots]
+        rec.purification[:, steps] = self.purification[slots]
+        rec.conserved_expectation[:, steps] = self.expectation[slots]
+        rec.light |= self.light[slots].any(axis=1)
+
+
+def _closure(nodes) -> tuple[_Node, ...]:
+    """``nodes`` and every node their known collapses lead to, in the order found."""
+    found = dict.fromkeys(nodes)
+    todo = list(found)
+    while todo:
+        for out in todo.pop().outcomes.values():
+            if out.child not in found:
+                found[out.child] = None
+                todo.append(out.child)
+    return tuple(found)
+
+
+@dataclass
+class _Runs:
+    """What the driver records for R runs of n steps."""
+
+    values: np.ndarray  # (R, n) pointer values
+    branched: np.ndarray  # (R, n) the step made a Born draw
+    purification: np.ndarray  # (R, n) metric of the post-step state
+    conserved_expectation: np.ndarray  # (R, n) tr(rho A) of the post-step state
+    light: np.ndarray  # (R,) some step collapsed onto a sector weighing less than one
+
+    @property
+    def events(self) -> np.ndarray:
+        """(R,) the run branched or collapsed onto a light sector somewhere."""
+        return self.branched.any(axis=1) | self.light
 
 
 def _ndm_runs(
     scn: NdmScenario,
     seeds,
     steps: int,
-    p_exact: np.ndarray,
-) -> list[NdmRun]:
-    """Independent runs advanced together, one stacked probe step at a time.
+    drift: np.ndarray | None = None,
+) -> _Runs:
+    """Independent runs advanced together, one probe step at a time.
 
-    Run r draws its uniforms from ``default_rng(seeds[r])`` in the order a
-    lone run would, so every run is the one ``run_ndm_protocol`` returns.
+    ``drift``, a unitary on the system, rotates the state before each step.
+    Each run stands on a node, its current system state.  A node's branch
+    stage, and its collapse onto a sector, are computed the first time some
+    run needs them, stacked with the others new at that step; a step then
+    only draws.  Run r draws its uniforms from ``default_rng(seeds[r])`` in
+    the order a lone run would, so every run is the one a loop of
+    ``_measurement_step`` calls gives.
     """
-    n_runs, s = len(seeds), scn.system_dim
-    sectors = np.asarray(scn.sector_projections)
-    a = np.asarray(scn.conserved)
+    n_runs, s, k = len(seeds), scn.system_dim, scn.quantity.size
     rngs = [np.random.default_rng(seed) for seed in seeds]
     uniforms = np.stack([g.random(DRAW_BLOCK) for g in rngs])
-    cursor = np.zeros(n_runs, dtype=np.intp)
-    rows = np.arange(n_runs)
-    rho = np.broadcast_to(np.asarray(scn.initial_system.density), (n_runs, s, s))
-    values = np.zeros((n_runs, steps), dtype=np.intp)
-    branched = np.zeros((n_runs, steps), dtype=bool)
-    purif = np.zeros((n_runs, steps))
-    a_expect = np.zeros_like(purif)
+    flat = uniforms.reshape(-1)  # a view: refills show through
+    start = np.arange(n_runs) * DRAW_BLOCK  # each run's buffer in ``flat``
+    cursor = start.copy()  # each run's next uniform in ``flat``
+    memo = _NodeMemo(scn, drift)
+    recent = deque(maxlen=RECENT_LEVELS)  # keeps the last levels' nodes alive
+    level = _Level(tuple(memo.nodes(np.asarray(scn.initial_system.density)[None])), s, k)
+    at = np.zeros(n_runs, dtype=np.intp)
+    taken = np.zeros((n_runs, steps), dtype=np.intp)  # each step's slots
+    first = 0  # first step the current level has not recorded
+    rec = _Runs(
+        values=np.zeros((n_runs, steps), dtype=np.intp),
+        branched=np.zeros((n_runs, steps), dtype=bool),
+        purification=np.zeros((n_runs, steps)),
+        conserved_expectation=np.zeros((n_runs, steps)),
+        light=np.zeros(n_runs, dtype=bool),
+    )
     for j in range(steps):
-        for r in np.flatnonzero(cursor > DRAW_BLOCK - 2):
-            used = cursor[r]
-            uniforms[r, : DRAW_BLOCK - used] = uniforms[r, used:]
-            uniforms[r, DRAW_BLOCK - used :] = rngs[r].random(used)
-            cursor[r] = 0
-        br = _branch_stage(rho, scn)
-        k = br.draws
-        u = np.stack([uniforms[rows, cursor], uniforms[rows, cursor + k - 1]], axis=1)
-        cursor += k
-        values[:, j], _, rho = _collapse_stage(br, scn, u)
-        branched[:, j] = br.branched
-        in_sector = np.trace(rho[:, None] @ sectors[None], axis1=2, axis2=3).real
-        purif[:, j] = 1.0 - in_sector.max(axis=1)
-        a_expect[:, j] = np.trace(rho @ a, axis1=1, axis2=2).real
+        # a step takes at most two uniforms, so a run past REFILL_AT is
+        # topped up before REFILL_EVERY more steps can empty its buffer
+        if j % REFILL_EVERY == 0:
+            for r in np.flatnonzero(cursor - start > REFILL_AT):
+                used = cursor[r] - start[r]
+                uniforms[r, : DRAW_BLOCK - used] = uniforms[r, used:]
+                uniforms[r, DRAW_BLOCK - used :] = rngs[r].random(used)
+                cursor[r] = start[r]
+        level.prepare(memo)
+        br = level.br
+        u_pointer = flat[cursor + level.pointer_draw[at]]
+        chosen = br.fixed[at]
+        if level.branching:
+            born = inverse_cdf(br.weights[at], flat[cursor] * br.total[at], br.last[at])
+            chosen = np.where(br.branched[at], born, chosen)
+        cursor += level.draws[at]
+        slots = at * s + chosen
+        following = level.next if level.complete else level.advance(slots, memo)
+        rec.values[:, j] = inverse_cdf(level.pointer[slots], u_pointer, k - 1)
+        taken[:, j] = slots
+        at = level.child_at[slots]
+        if following is not level or j == steps - 1:
+            level.record(rec, taken[:, first : j + 1], slice(first, j + 1))
+            first = j + 1
+        level = following
+        recent.append(level)
+    # nodes and levels link in cycles: unlink them, so they are freed now
+    # rather than at the next full garbage collection
+    for node in list(memo.table.values()):
+        node.outcomes.clear()
+    for old in recent:
+        old.next = None
+    return rec
+
+
+def _ndm_run_list(scn: NdmScenario, seeds, steps: int, p_exact: np.ndarray) -> list[NdmRun]:
+    """One ``NdmRun`` per seed, all advanced by one driver call."""
+    rec = _ndm_runs(scn, seeds, steps)
     times = tuple(range(1, steps + 1))
     runs = []
     for r, seed in enumerate(seeds):
-        protocol = MeasurementProtocol(tuple(values[r].tolist()), times, seed)
+        protocol = MeasurementProtocol(tuple(rec.values[r].tolist()), times, seed)
         freq = np.array([float(f) for f in frequencies(protocol, scn.quantity.size - 1)])
-        branch_steps = tuple((np.flatnonzero(branched[r]) + 1).tolist())
+        branch_steps = tuple((np.flatnonzero(rec.branched[r]) + 1).tolist())
         runs.append(
             NdmRun(
                 protocol=protocol,
                 first_event_step=branch_steps[0] if branch_steps else None,
                 branch_steps=branch_steps,
-                purification=purif[r],
-                conserved_expectation=a_expect[r],
+                purification=rec.purification[r],
+                conserved_expectation=rec.conserved_expectation[r],
                 classified=classify_frequencies(freq, p_exact),
             )
         )
@@ -396,7 +675,7 @@ def run_ndm_protocol(scn: NdmScenario, seed: int, steps: int | None = None) -> N
     """One full indirect-measurement run of ``steps`` probe interactions."""
     steps = scn.steps if steps is None else steps
     p_exact = scn.exact_pointer_distributions()
-    return _ndm_runs(scn, [seed], steps, p_exact)[0]
+    return _ndm_run_list(scn, [seed], steps, p_exact)[0]
 
 
 def ndm_experiment(
@@ -418,7 +697,7 @@ def ndm_experiment(
         [float(np.trace(scn.initial_system.density @ p).real) for p in sectors]
     )
     seeds = np.random.SeedSequence(master_seed).generate_state(scn.runs)
-    runs = _ndm_runs(scn, [int(seed) for seed in seeds], scn.steps, p_exact)
+    runs = _ndm_run_list(scn, [int(seed) for seed in seeds], scn.steps, p_exact)
     counts = np.zeros(len(sectors), dtype=np.int64)
     curves = []
     for r, run in enumerate(runs):
@@ -527,20 +806,22 @@ def sector_transition_matrix(scn: NdmScenario, drift: np.ndarray) -> np.ndarray:
     return out
 
 
-def weak_measurement_trajectory(
+def weak_measurement_trajectories(
     scn: NdmScenario,
     drift_angle: float,
     n: int,
     window: int,
-    seed: int = 0,
-) -> JumpTrajectory:
+    seeds,
+) -> list[JumpTrajectory]:
     """Slow coherent drift interleaved with repeated probe measurements.
 
     The drift rotates the system by ``drift_angle`` per step in a plane that
     fails to commute with the conserved quantity; the repeated measurements
     pin the state to a sector, producing a piecewise-constant trajectory with
     occasional jumps.  The per-window estimate is the classification of the
-    window's pointer frequencies, ties keeping the previous value.
+    window's pointer frequencies, ties keeping the previous value.  One
+    trajectory per seed; all of them advance as one batch, and each is the
+    one ``weak_measurement_trajectory`` gives for its seed.
     """
     if drift_angle > 0.2:
         raise ValidationError("drift_angle must satisfy <= 0.2 (weak drift)")
@@ -551,36 +832,47 @@ def weak_measurement_trajectory(
     p_exact = scn.check_separation()
     c, s_ = np.cos(drift_angle), np.sin(drift_angle)
     drift = np.array([[c, -s_], [s_, c]], dtype=np.complex128)
-    rng = np.random.default_rng(seed)
-    rho = np.asarray(scn.initial_system.density)
-    etas = []
-    any_event = False
-    for _ in range(n):
-        rho = drift @ rho @ dagger(drift)
-        out = _measurement_step(rho, scn, rng)
-        rho = out.new_system
-        etas.append(out.eta)
-        any_event = any_event or out.branched or out.branch_weight < 1.0 - 1e-12
-    if not any_event and drift_angle > 0.0:
+    rec = _ndm_runs(scn, seeds, n, drift)
+    if drift_angle > 0.0 and not rec.events.all():
         raise NoEventError("no events occurred along the trajectory")
+    transition = sector_transition_matrix(scn, drift)
+    transition.flags.writeable = False  # one matrix, shared by the batch
     k = scn.quantity.size
-    estimates = []
-    prev = None
-    for w0 in range(0, n - window + 1, window):
-        chunk = etas[w0 : w0 + window]
-        freq = np.array([chunk.count(e) / window for e in range(k)])
-        est = classify_frequencies(freq, p_exact, prev)
-        estimates.append(est)
-        prev = est
-    jumps = sum(1 for a, b in zip(estimates, estimates[1:]) if a != b)
     n_sec = p_exact.shape[0]
-    dwell = np.array([estimates.count(a) / len(estimates) for a in range(n_sec)])
-    return JumpTrajectory(
-        etas=tuple(etas),
-        window=window,
-        window_estimates=tuple(estimates),
-        jump_count=jumps,
-        dwell_fractions=dwell,
-        transition_matrix=sector_transition_matrix(scn, drift),
-        seed=seed,
-    )
+    out = []
+    for seed, values in zip(seeds, rec.values):
+        etas = values.tolist()
+        estimates = []
+        prev = None
+        for w0 in range(0, n - window + 1, window):
+            chunk = etas[w0 : w0 + window]
+            freq = np.array([chunk.count(e) / window for e in range(k)])
+            est = classify_frequencies(freq, p_exact, prev)
+            estimates.append(est)
+            prev = est
+        jumps = sum(1 for a, b in zip(estimates, estimates[1:]) if a != b)
+        dwell = np.array([estimates.count(a) / len(estimates) for a in range(n_sec)])
+        out.append(
+            JumpTrajectory(
+                etas=tuple(etas),
+                window=window,
+                window_estimates=tuple(estimates),
+                jump_count=jumps,
+                dwell_fractions=dwell,
+                transition_matrix=transition,
+                seed=seed,
+            )
+        )
+    return out
+
+
+def weak_measurement_trajectory(
+    scn: NdmScenario,
+    drift_angle: float,
+    n: int,
+    window: int,
+    seed: int = 0,
+) -> JumpTrajectory:
+    """One weak-measurement trajectory: ``weak_measurement_trajectories``
+    with the single seed ``seed``."""
+    return weak_measurement_trajectories(scn, drift_angle, n, window, [seed])[0]

@@ -39,6 +39,12 @@ COLLAPSE_EPS = 1e-12
 STATE_TOL = 1e-10
 # two sectors' pointer distributions closer than this in L1 are not separated
 SEPARATION_TOL = 1e-9
+# L1 distances to two sectors closer than TIE_TOL tie; a window estimate then
+# keeps the previous window's sector
+TIE_TOL = 1e-12
+# a collapse whose weight is within CERTAIN_TOL of one is no event along a
+# weak-measurement trajectory
+CERTAIN_TOL = 1e-12
 
 
 def freeze(m: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from ethsim.histories import (
     relative_entropy_vs_reversed,
     sample_histories,
 )
-from ethsim.indirect import frequencies, ndm_experiment, weak_measurement_trajectory
+from ethsim.indirect import frequencies, ndm_experiment, weak_measurement_trajectories
 from ethsim.linalg import operator_norm, random_density
 from ethsim.recording import record_event, verify_result_dichotomy
 from ethsim.scenario import build_model, build_ndm, resolve_scenario
@@ -344,14 +344,10 @@ class TestCriterion9:
         def check():
             eps, w, n, n_runs = 0.05, 25, 2000, 100
             scn = build_ndm(resolve_scenario("jumps"), runs=1, steps=n)
-            trans = None
-            jump_counts = []
-            dwell0 = []
-            for seed in range(n_runs):
-                traj = weak_measurement_trajectory(scn, eps, n, w, seed=seed)
-                trans = traj.transition_matrix
-                jump_counts.append(traj.jump_count)
-                dwell0.append(traj.dwell_fractions[0])
+            trajectories = weak_measurement_trajectories(scn, eps, n, w, range(n_runs))
+            trans = trajectories[-1].transition_matrix
+            jump_counts = [traj.jump_count for traj in trajectories]
+            dwell0 = [traj.dwell_fractions[0] for traj in trajectories]
             frac_with_jumps = sum(1 for j in jump_counts if j >= 2) / n_runs
             assert frac_with_jumps >= 0.5, f"jump fraction {frac_with_jumps}"
 

@@ -1,9 +1,11 @@
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ethsim import indirect
 from ethsim.chain import ChainModel, build_gate, chain_initial_state
 from ethsim.errors import (
     EmptyProtocol,
@@ -22,13 +24,16 @@ from ethsim.indirect import (
     run_ndm_protocol,
     run_protocol,
     sector_transition_matrix,
+    weak_measurement_trajectories,
     weak_measurement_trajectory,
     _branch_stage,
     _collapse_stage,
     _measurement_step,
+    _ndm_runs,
 )
-from ethsim.linalg import SIGMA_Z
+from ethsim.linalg import CERTAIN_TOL, SIGMA_Z, dagger, partial_trace
 from ethsim.recording import probe_pointer_quantity
+from ethsim.scenario import build_ndm, resolve_scenario
 from ethsim.states import State
 
 THETA = 0.6
@@ -282,8 +287,8 @@ class TestWeakMeasurement:
             State(np.diag([1.0, 0.0]).astype(complex)), runs=1, steps=2000,
         )
         jump_counts = [
-            weak_measurement_trajectory(scn, 0.05, 2000, 25, seed=s).jump_count
-            for s in range(20)
+            traj.jump_count
+            for traj in weak_measurement_trajectories(scn, 0.05, 2000, 25, range(20))
         ]
         assert sum(1 for j in jump_counts if j >= 2) >= 10
 
@@ -406,3 +411,197 @@ class TestBatchedKernel:
                 values.append(out.eta)
                 rho = out.new_system
             assert run.protocol.values == tuple(values)
+
+
+def drift_rotation(angle):
+    c, s_ = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s_], [s_, c]], dtype=np.complex128)
+
+
+def lone_steps(scn, seed, steps, drift=None):
+    """One run as a loop of lone ``_measurement_step`` calls: its pointer
+    values, branch flags, weights and post-step states."""
+    rng = np.random.default_rng(seed)
+    rho = np.asarray(scn.initial_system.density)
+    outs = []
+    for _ in range(steps):
+        if drift is not None:
+            rho = drift @ rho @ dagger(drift)
+        out = _measurement_step(rho, scn, rng)
+        outs.append(out)
+        rho = out.new_system
+    return outs
+
+
+def reference_trajectory(scn, drift_angle, n, window, seed):
+    """``weak_measurement_trajectory`` as a per-step loop of lone steps."""
+    p_exact = scn.check_separation()
+    drift = drift_rotation(drift_angle)
+    outs = lone_steps(scn, seed, n, drift)
+    etas = [out.eta for out in outs]
+    assert drift_angle == 0.0 or any(
+        out.branched or out.branch_weight < 1.0 - CERTAIN_TOL for out in outs
+    )
+    k = scn.quantity.size
+    estimates, prev = [], None
+    for w0 in range(0, n - window + 1, window):
+        chunk = etas[w0 : w0 + window]
+        freq = np.array([chunk.count(e) / window for e in range(k)])
+        prev = indirect.classify_frequencies(freq, p_exact, prev)
+        estimates.append(prev)
+    n_sec = p_exact.shape[0]
+    return dict(
+        etas=tuple(etas),
+        window_estimates=tuple(estimates),
+        jump_count=sum(1 for a, b in zip(estimates, estimates[1:]) if a != b),
+        dwell_fractions=np.array([estimates.count(a) / len(estimates) for a in range(n_sec)]),
+        transition_matrix=sector_transition_matrix(scn, drift),
+    )
+
+
+def jumps_scenario(steps=2000, initial=None):
+    scn = build_ndm(resolve_scenario("jumps"), runs=1, steps=steps)
+    if initial is None:
+        return scn
+    return NdmScenario(
+        2, 2, scn.gate, scn.conserved, scn.quantity, initial, runs=1, steps=steps
+    )
+
+
+class TestDriver:
+    """One driver, ``_ndm_runs``, advances every indirect-measurement run; it
+    computes each step once per distinct system state.  Each run must be the
+    loop of lone ``_measurement_step`` calls with its seed, bit for bit."""
+
+    @pytest.mark.parametrize("drift_angle", [0.0, 0.05])
+    def test_trajectories_equal_lone_step_loops(self, drift_angle):
+        # longer than three uniform blocks, so every buffer refills
+        n = 3 * DRAW_BLOCK + 17
+        scn = jumps_scenario(n)
+        seeds = list(range(6))
+        batch = weak_measurement_trajectories(scn, drift_angle, n, 25, seeds)
+        assert [t.seed for t in batch] == seeds
+        for traj, seed in zip(batch, seeds):
+            ref = reference_trajectory(scn, drift_angle, n, 25, seed)
+            for field, want in ref.items():
+                assert np.array_equal(getattr(traj, field), want), (seed, field)
+            lone = weak_measurement_trajectory(scn, drift_angle, n, 25, seed=seed)
+            assert lone.etas == traj.etas
+            assert np.array_equal(lone.dwell_fractions, traj.dwell_fractions)
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            system_state(THETA).density,  # branches at step 1
+            system_state(0.0).density,  # an eigenstate: never branches
+            np.eye(2, dtype=complex) / 2,  # one sector, the whole space
+            system_state(1e-5).density,  # one sector weighs 1e-10: no draw, yet an event
+        ],
+        ids=["branched", "never-branching", "no-sector-structure", "light-sector"],
+    )
+    @pytest.mark.parametrize("drift_angle", [0.0, 0.05])
+    def test_runs_equal_lone_steps(self, start, drift_angle):
+        scn = cnot_scenario(readout_phi=0.3)
+        scn = NdmScenario(
+            2, 2, scn.gate, scn.conserved, scn.quantity, State(np.asarray(start)),
+            runs=1, steps=80,
+        )
+        drift = drift_rotation(drift_angle) if drift_angle else None
+        seeds = list(range(5))
+        rec = _ndm_runs(scn, seeds, scn.steps, drift)
+        a = np.asarray(scn.conserved)
+        sectors = np.asarray(scn.sector_projections)
+        for r, seed in enumerate(seeds):
+            outs = lone_steps(scn, seed, scn.steps, drift)
+            assert rec.values[r].tolist() == [out.eta for out in outs]
+            assert rec.branched[r].tolist() == [out.branched for out in outs]
+            rho = np.stack([out.new_system for out in outs])
+            expect = np.trace(rho @ a, axis1=1, axis2=2).real
+            assert np.array_equal(rec.conserved_expectation[r], expect)
+            in_sector = np.trace(rho[:, None] @ sectors[None], axis1=2, axis2=3).real
+            assert np.array_equal(rec.purification[r], 1.0 - in_sector.max(axis=1))
+            light = any(out.branch_weight < 1.0 - CERTAIN_TOL for out in outs)
+            assert rec.light[r] == light
+            assert rec.events[r] == (light or any(out.branched for out in outs))
+
+    def test_no_sector_structure_has_no_event(self):
+        scn = jumps_scenario(100, State(np.eye(2, dtype=complex) / 2))
+        with pytest.raises(NoEventError):
+            weak_measurement_trajectories(scn, 0.05, 100, 25, [0, 1])
+        traj = weak_measurement_trajectories(scn, 0.0, 100, 25, [0, 1])
+        assert all(t.etas == (0,) * 100 for t in traj)
+
+    def test_transition_matrix_is_shared_and_read_only(self):
+        batch = weak_measurement_trajectories(jumps_scenario(100), 0.05, 100, 25, [0, 1])
+        assert batch[0].transition_matrix is batch[1].transition_matrix
+        assert not batch[0].transition_matrix.flags.writeable
+
+    def test_lone_step_is_only_a_reference(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_measurement_step called")
+
+        monkeypatch.setattr(indirect, "_measurement_step", refuse)
+        ndm_experiment(cnot_scenario(runs=5, steps=10), master_seed=1)
+        weak_measurement_trajectories(jumps_scenario(100), 0.05, 100, 25, [0])
+
+
+def count_branch_rows(monkeypatch):
+    rows = []
+    stage = indirect._branch_stage
+
+    def counted(rho, scn):
+        rows.append(len(rho))
+        return stage(rho, scn)
+
+    monkeypatch.setattr(indirect, "_branch_stage", counted)
+    return rows
+
+
+class TestDriverCost:
+    """The branch stage runs once per distinct system state, and the driver
+    holds nodes only while some run can still reach them."""
+
+    def test_jumps_trajectory_branches_few_states(self, monkeypatch):
+        rows = count_branch_rows(monkeypatch)
+        weak_measurement_trajectory(jumps_scenario(2000), 0.05, 2000, 25, seed=0)
+        assert sum(rows) <= 4
+
+    def test_noisy_experiment_branches_few_states(self, monkeypatch):
+        rows = count_branch_rows(monkeypatch)
+        scn = build_ndm(resolve_scenario("ndm_noisy"), runs=100, steps=400)
+        ndm_experiment(scn, master_seed=6)
+        assert sum(rows) <= 12
+
+    def test_states_never_revisited_hold_bounded_nodes(self, monkeypatch):
+        # s=3, A = diag(1, 1, -1).  The gate rotates the 2-dimensional sector
+        # of A by an angle incommensurate with pi and clicks the probe on
+        # sector {2}, so every step of a run in {0, 1} makes a new state
+        angle = 0.7
+        c, s_ = np.cos(angle), np.sin(angle)
+        rot = np.array([[c, -s_, 0], [s_, c, 0], [0, 0, 0]], dtype=complex)
+        p2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+        flip = np.array([[0, 1], [1, 0]], dtype=complex)
+        gate = np.kron(rot, np.eye(2)) + np.kron(p2, flip)
+        psi = np.array([1.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
+        runs, steps = 20, 500
+        scn = NdmScenario(
+            3, 2, gate, np.diag([1.0, 1.0, -1.0]).astype(complex),
+            probe_pointer_quantity(3, 2), State(np.outer(psi, psi.conj())),
+            runs=runs, steps=steps,
+        )
+        live = weakref.WeakSet()
+        made = []
+
+        class Counted(indirect._Node):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                live.add(self)
+                made.append(len(live))
+
+        monkeypatch.setattr(indirect, "_Node", Counted)
+        rec = _ndm_runs(scn, list(range(runs)), steps)
+        assert set(rec.values[:, 0].tolist()) == {0, 1}  # both sectors taken
+        assert len(made) >= steps  # a new state at every step
+        assert max(made) <= 4 * runs
