@@ -212,7 +212,11 @@ class NestingReport:
 
 
 class ChainModel:
-    """System coupled to a finite chain of probes, one interaction per step."""
+    """System coupled to a finite chain of probes, one interaction per step.
+
+    ``initial_state`` holds the probes' start as well as the system's;
+    ``chain_initial_state`` builds it with every probe in its ground state.
+    """
 
     def __init__(
         self,
@@ -221,7 +225,6 @@ class ChainModel:
         horizon: int,
         gates,
         initial_state: State,
-        probe_state: np.ndarray | None = None,
     ):
         if system_dim < 1 or probe_dim < 1 or horizon < 1:
             raise ValidationError("system_dim, probe_dim and horizon must be >= 1")
@@ -250,10 +253,6 @@ class ChainModel:
         if initial_state.dim != full_dim:
             raise DimensionMismatch("initial state dimension does not match the chain")
         self.initial_state = initial_state
-        if probe_state is None:
-            probe_state = np.zeros((probe_dim, probe_dim), dtype=np.complex128)
-            probe_state[0, 0] = 1.0
-        self.probe_state = freeze(probe_state)
         # cumulative products C_t = U_t ... U_1, so U(t, t') = C_t C_t'^*
         cumulative = [np.eye(full_dim, dtype=np.complex128)]
         for u in self.step_unitaries:

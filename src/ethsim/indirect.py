@@ -20,8 +20,6 @@ pure, and it has no horizon cap.
 
 from __future__ import annotations
 
-import weakref
-from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -156,18 +154,9 @@ class NdmScenario:
         return p
 
 
-# Uniforms pre-drawn per run and topped up in blocks of this size; a step
-# consumes at most two, so the buffer does not grow with the step count.
-DRAW_BLOCK = 64
-# The driver tops up, every REFILL_EVERY steps, each run that has used more
-# than REFILL_AT of its buffer.
-REFILL_EVERY = DRAW_BLOCK // 4
-REFILL_AT = DRAW_BLOCK - 2 * REFILL_EVERY
-# The driver keeps the nodes of the last RECENT_LEVELS steps alive, so a
-# chain that cycles through up to RECENT_LEVELS + 1 states finds them again
-# and its collapses close the cycle.  An older node lives only while a run
-# stands on it or a live node's collapse leads to it.
-RECENT_LEVELS = 8
+# A state graph holds at most this many nodes per run; one that would grow
+# past it starts again from the runs' current states.
+NODES_PER_RUN = 4
 
 
 def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -202,14 +191,15 @@ class _Branches:
         """Uniforms each run consumes: one per branch draw, one per pointer draw."""
         return self.branched.astype(np.intp) + ~self.trivial
 
-    def take(self, i: int) -> _Branches:
-        """Row ``i`` of every field."""
-        return _Branches(*(getattr(self, f.name)[i] for f in fields(self)))
+    def take(self, rows: np.ndarray) -> _Branches:
+        """The rows ``rows`` of every field."""
+        return _Branches(*(getattr(self, f.name)[rows] for f in fields(self)))
 
-    @staticmethod
-    def stack(rows: list[_Branches]) -> _Branches:
-        """Rows made by ``take``, stacked in order."""
-        return _Branches(*(np.stack([getattr(r, f.name) for r in rows]) for f in fields(_Branches)))
+    def extend(self, more: _Branches) -> _Branches:
+        """These rows followed by those of ``more``."""
+        return _Branches(
+            *(np.concatenate([getattr(self, f.name), getattr(more, f.name)]) for f in fields(self))
+        )
 
 
 def _branch_stage(rho: np.ndarray, scn: NdmScenario) -> _Branches:
@@ -313,7 +303,7 @@ def _measurement_step(
 
     The lone-step reference: the tests check that every run of the driver
     ``_ndm_runs`` equals a loop of these calls.  Nothing in the package
-    calls it.
+    calls it; it stays here because ``bench/spans.py`` patches it by name.
     """
     br = _branch_stage(np.asarray(rho_s)[None], scn)
     k = int(br.draws[0])
@@ -378,188 +368,7 @@ def classify_frequencies(freq: np.ndarray, p_exact: np.ndarray, prev: int | None
 
 
 # ---------------------------------------------------------------------------
-# the driver: one node per distinct system state
-
-
-class _Node:
-    """One distinct system state the runs reach.
-
-    Given the state, a probe step's sectors, weights and collapses are
-    deterministic; only a run's uniforms are random.  So the branch stage
-    runs once per node and each sector's collapse once per (node, sector),
-    and every run standing on the node shares them.
-    """
-
-    __slots__ = ("rho", "purification", "expectation", "branches", "outcomes", "__weakref__")
-
-    def __init__(self, rho: np.ndarray, purification: float, expectation: float):
-        self.rho = rho
-        self.purification = purification  # 1 - max_alpha tr(rho P_alpha)
-        self.expectation = expectation  # tr(rho A)
-        self.branches: _Branches | None = None  # this node's row, once a run stands on it
-        self.outcomes: dict[int, _Outcome] = {}  # sector -> collapse, once a run takes it
-
-
-@dataclass(frozen=True)
-class _Outcome:
-    """One node collapsed onto one sector."""
-
-    pointer: np.ndarray  # pointer distribution of the collapsed joint state
-    light: bool  # the sector weighs less than one by more than CERTAIN_TOL
-    child: _Node  # the post-step system state
-
-
-class _NodeMemo:
-    """The nodes of one driver call, keyed by the bytes of their state.
-
-    Nodes are held weakly: a node lives while a run stands on it, a live
-    node's collapse leads to it, or it is among the last RECENT_LEVELS
-    steps' nodes.  A chain that revisits its states keeps its few nodes;
-    one that never does holds O(runs) of them.
-    """
-
-    def __init__(self, scn: NdmScenario, drift: np.ndarray | None):
-        self.scn = scn
-        self.drift = drift
-        self.sectors = np.asarray(scn.sector_projections)
-        self.conserved = np.asarray(scn.conserved)
-        self.table: weakref.WeakValueDictionary[bytes, _Node] = weakref.WeakValueDictionary()
-
-    def nodes(self, rhos: np.ndarray) -> list[_Node]:
-        """The node of each state in the stack ``rhos``, made where none lives."""
-        keys = [rho.tobytes() for rho in rhos]
-        nodes = [self.table.get(key) for key in keys]
-        fresh: dict[bytes, int] = {}
-        for i, (key, node) in enumerate(zip(keys, nodes)):
-            if node is None:
-                fresh.setdefault(key, i)
-        if not fresh:
-            return nodes
-        rows = rhos[list(fresh.values())]
-        in_sector = np.trace(rows[:, None] @ self.sectors[None], axis1=2, axis2=3).real
-        purification = (1.0 - in_sector.max(axis=1)).tolist()
-        expectation = np.trace(rows @ self.conserved, axis1=1, axis2=2).real.tolist()
-        made = {
-            key: _Node(rho.copy(), pur, ex)
-            for key, rho, pur, ex in zip(fresh, rows, purification, expectation)
-        }
-        self.table.update(made)
-        return [made[key] if node is None else node for key, node in zip(keys, nodes)]
-
-    def branch(self, nodes) -> None:
-        """One stacked branch stage for the nodes that have none yet."""
-        new = [node for node in nodes if node.branches is None]
-        if not new:
-            return
-        d = self.drift
-        states = np.stack([n.rho if d is None else d @ n.rho @ dagger(d) for n in new])
-        br = _branch_stage(states, self.scn)
-        for i, node in enumerate(new):
-            node.branches = br.take(i)
-
-    def collapse(self, pairs) -> None:
-        """One stacked collapse for (node, sector) pairs that have none yet."""
-        rows = _Branches.stack([node.branches for node, _ in pairs])
-        sectors = np.array([a for _, a in pairs], dtype=np.intp)
-        weight, pointer, rho = _collapse_onto(rows, self.scn, sectors)
-        children = self.nodes(rho)
-        for (node, a), w, dist, child in zip(pairs, weight.tolist(), pointer, children):
-            node.outcomes[a] = _Outcome(dist, w < 1.0 - CERTAIN_TOL, child)
-
-
-class _Level:
-    """The nodes the runs can stand on at one step, with their rows stacked.
-
-    A run is an index into ``nodes``; slot ``i * s + a`` indexes the tables
-    of node i's collapse onto sector a.  The next level holds the children
-    of every collapse known here, so a chain that keeps revisiting its
-    states keeps one level, and a step is a few gathers over the runs.
-    """
-
-    def __init__(self, nodes: tuple[_Node, ...], s: int, k: int):
-        self.nodes = nodes
-        self.index = {node: i for i, node in enumerate(nodes)}
-        self.s = s
-        self.br: _Branches | None = None  # stacked branch rows, once prepared
-        n = len(nodes) * s
-        self.known = np.zeros(n, dtype=bool)
-        self.pointer = np.zeros((n, k))
-        self.light = np.zeros(n, dtype=bool)
-        self.purification = np.zeros(n)  # the child's
-        self.expectation = np.zeros(n)  # the child's
-        self.child: list[_Node | None] = [None] * n
-        self.child_at = np.zeros(n, dtype=np.intp)  # the child's index in ``next``
-        self.next: _Level | None = None
-        self.complete = False  # every reachable slot known, ``next`` holds all children
-        for i, node in enumerate(nodes):
-            for a, out in node.outcomes.items():
-                self._fill(i * s + a, out)
-
-    def _fill(self, slot: int, out: _Outcome) -> None:
-        self.known[slot] = True
-        self.pointer[slot] = out.pointer
-        self.light[slot] = out.light
-        self.purification[slot] = out.child.purification
-        self.expectation[slot] = out.child.expectation
-        self.child[slot] = out.child
-
-    def prepare(self, memo: _NodeMemo) -> None:
-        """Stack the nodes' branch rows, running the branch stage where missing."""
-        if self.br is not None:
-            return
-        memo.branch(self.nodes)
-        br = self.br = _Branches.stack([node.branches for node in self.nodes])
-        self.draws = br.draws
-        self.pointer_draw = self.draws - 1  # offset of the pointer's uniform
-        self.branching = bool(br.branched.any())
-        self.branched = np.repeat(br.branched, self.s)  # per slot
-        # the slots a run can take: each positive sector where the node
-        # branches, else its one fixed sector
-        fixed = np.arange(self.s) == br.fixed[:, None]
-        self.reachable = np.flatnonzero(np.where(br.branched[:, None], br.positive, fixed))
-
-    def advance(self, slots: np.ndarray, memo: _NodeMemo) -> _Level:
-        """The next level, once every slot taken has its collapse."""
-        if self.next is not None and self.known[slots].all():
-            return self.next
-        s = self.s
-        missing = sorted(set(slots[~self.known[slots]].tolist()))
-        pairs = [(self.nodes[t // s], t % s) for t in missing]
-        new = [(node, a) for node, a in pairs if a not in node.outcomes]
-        if new:
-            memo.collapse(new)
-        for t, (node, a) in zip(missing, pairs):
-            self._fill(t, node.outcomes[a])
-        # keep this level, or the current next one, when it holds every child
-        children = [c for c in self.child if c is not None]
-        for level in (self, self.next):
-            if level is not None and all(c in level.index for c in children):
-                break
-        else:
-            level = _Level(_closure(children), s, self.pointer.shape[1])
-        self.next = level
-        self.child_at = np.array([level.index.get(c, 0) for c in self.child], dtype=np.intp)
-        self.complete = bool(self.known[self.reachable].all())
-        return level
-
-    def record(self, rec: _Runs, slots: np.ndarray, steps: slice) -> None:
-        """Fill the per-step records of ``steps``, taken slots ``slots``."""
-        rec.branched[:, steps] = self.branched[slots]
-        rec.purification[:, steps] = self.purification[slots]
-        rec.conserved_expectation[:, steps] = self.expectation[slots]
-        rec.light |= self.light[slots].any(axis=1)
-
-
-def _closure(nodes) -> tuple[_Node, ...]:
-    """``nodes`` and every node their known collapses lead to, in the order found."""
-    found = dict.fromkeys(nodes)
-    todo = list(found)
-    while todo:
-        for out in todo.pop().outcomes.values():
-            if out.child not in found:
-                found[out.child] = None
-                todo.append(out.child)
-    return tuple(found)
+# the driver: one state graph of the distinct system states
 
 
 @dataclass
@@ -578,6 +387,92 @@ class _Runs:
         return self.branched.any(axis=1) | self.light
 
 
+class _StateGraph:
+    """The distinct system states the runs reach, as nodes of flat tables.
+
+    Given the state, a probe step's sectors, weights and collapses are
+    deterministic; only a run's uniforms are random.  So a node's branch
+    stage runs once, when the node is added, and its collapse onto sector a
+    once, the first time a run takes slot ``node * s + a``; every run on the
+    node shares them.  Nodes are keyed by the bytes of their state.
+    """
+
+    def __init__(self, scn: NdmScenario, drift: np.ndarray | None):
+        s, k = scn.system_dim, scn.quantity.size
+        self.scn = scn
+        self.drift = drift  # rotates a node's state before its branch stage
+        self.sectors = np.asarray(scn.sector_projections)
+        self.ids: dict[bytes, int] = {}
+        # per node
+        self.rho = np.empty((0, s, s), dtype=np.complex128)
+        self.br: _Branches | None = None  # branch stage rows
+        self.draws = np.empty(0, dtype=np.intp)  # uniforms a step from the node takes
+        self.purification = np.empty(0)  # 1 - max_alpha tr(rho P_alpha)
+        self.expectation = np.empty(0)  # tr(rho A)
+        # per slot
+        self.pointer = np.empty((0, k))  # pointer distribution of the collapsed joint state
+        self.light = np.empty(0, dtype=bool)  # the sector weighs less than 1 - CERTAIN_TOL
+        self.child = np.empty(0, dtype=np.intp)  # the post-step state's node, -1 until collapsed
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def add(self, rhos: np.ndarray) -> np.ndarray:
+        """The node of each state in the stack ``rhos``, added where there is none."""
+        keys = [rho.tobytes() for rho in rhos]
+        new = []  # the first row of each state not seen before
+        for i, key in enumerate(keys):
+            if key not in self.ids:
+                self.ids[key] = len(self.ids)
+                new.append(i)
+        if new:
+            rows = rhos[new]
+            d = self.drift
+            br = _branch_stage(
+                rows if d is None else np.stack([d @ rho @ dagger(d) for rho in rows]), self.scn
+            )
+            in_sector = np.trace(rows[:, None] @ self.sectors[None], axis1=2, axis2=3).real
+            expectation = np.trace(rows @ self.scn.conserved, axis1=1, axis2=2).real
+            n = len(rows) * self.scn.system_dim
+            self.rho = np.concatenate([self.rho, rows])
+            self.br = br if self.br is None else self.br.extend(br)
+            self.draws = np.concatenate([self.draws, br.draws])
+            self.purification = np.concatenate([self.purification, 1.0 - in_sector.max(axis=1)])
+            self.expectation = np.concatenate([self.expectation, expectation])
+            self.pointer = np.concatenate([self.pointer, np.zeros((n, self.pointer.shape[1]))])
+            self.light = np.concatenate([self.light, np.zeros(n, dtype=bool)])
+            self.child = np.concatenate([self.child, np.full(n, -1, dtype=np.intp)])
+        return np.array([self.ids[key] for key in keys], dtype=np.intp)
+
+    def collapse(self, slots: np.ndarray) -> None:
+        """One stacked collapse for the slots in ``slots`` not collapsed yet."""
+        s = self.scn.system_dim
+        new = np.unique(slots[self.child[slots] < 0])
+        weight, pointer, rho = _collapse_onto(self.br.take(new // s), self.scn, new % s)
+        self.pointer[new] = pointer
+        self.light[new] = weight < 1.0 - CERTAIN_TOL
+        child = self.add(rho)
+        self.child[new] = child
+
+    def record(
+        self, rec: _Runs, slots: np.ndarray, steps: slice, uniforms: np.ndarray, mark: np.ndarray
+    ) -> None:
+        """Fill the records of ``steps``, at which the runs took ``slots``.
+
+        Run r's uniforms for these steps start at ``uniforms[mark[r]]``; a
+        step's pointer draw takes the last of its uniforms.
+        """
+        nodes, child = slots // self.scn.system_dim, self.child[slots]
+        rec.branched[:, steps] = self.br.branched[nodes]
+        rec.purification[:, steps] = self.purification[child]
+        rec.conserved_expectation[:, steps] = self.expectation[child]
+        rec.light |= self.light[slots].any(axis=1)
+        u = uniforms[mark[:, None] + self.draws[nodes].cumsum(axis=1) - 1]
+        k = self.pointer.shape[1]
+        values = inverse_cdf(self.pointer[slots].reshape(-1, k), u.reshape(-1), k - 1)
+        rec.values[:, steps] = values.reshape(slots.shape)
+
+
 def _ndm_runs(
     scn: NdmScenario,
     seeds,
@@ -587,25 +482,24 @@ def _ndm_runs(
     """Independent runs advanced together, one probe step at a time.
 
     ``drift``, a unitary on the system, rotates the state before each step.
-    Each run stands on a node, its current system state.  A node's branch
-    stage, and its collapse onto a sector, are computed the first time some
-    run needs them, stacked with the others new at that step; a step then
-    only draws.  Run r draws its uniforms from ``default_rng(seeds[r])`` in
-    the order a lone run would, so every run is the one a loop of
-    ``_measurement_step`` calls gives.
+    Each run stands on a node of one ``_StateGraph``, its current system
+    state; a step gathers the runs' rows by node id and collapses the
+    (node, sector) slots no run took before in one stacked call.  Run r
+    draws its uniforms up front, ``default_rng(seeds[r]).random(2 * steps)``
+    (a step takes at most two), and uses them in the order a lone run
+    would, so every run is the one a loop of ``_measurement_step`` calls
+    gives.  The records are gathered from the taken slots at the end.  A
+    graph about to hold more than ``NODES_PER_RUN`` nodes per run starts
+    again from the runs' current states, so a chain that never revisits a
+    state holds O(runs) nodes, not O(runs * steps).
     """
-    n_runs, s, k = len(seeds), scn.system_dim, scn.quantity.size
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    uniforms = np.stack([g.random(DRAW_BLOCK) for g in rngs])
-    flat = uniforms.reshape(-1)  # a view: refills show through
-    start = np.arange(n_runs) * DRAW_BLOCK  # each run's buffer in ``flat``
-    cursor = start.copy()  # each run's next uniform in ``flat``
-    memo = _NodeMemo(scn, drift)
-    recent = deque(maxlen=RECENT_LEVELS)  # keeps the last levels' nodes alive
-    level = _Level(tuple(memo.nodes(np.asarray(scn.initial_system.density)[None])), s, k)
-    at = np.zeros(n_runs, dtype=np.intp)
+    n_runs, s = len(seeds), scn.system_dim
+    uniforms = np.concatenate([np.random.default_rng(seed).random(2 * steps) for seed in seeds])
+    cursor = np.arange(n_runs) * (2 * steps)  # each run's next uniform
+    graph = _StateGraph(scn, drift)
+    at = graph.add(np.asarray(scn.initial_system.density)[None]).repeat(n_runs)
     taken = np.zeros((n_runs, steps), dtype=np.intp)  # each step's slots
-    first = 0  # first step the current level has not recorded
+    first, mark = 0, cursor.copy()  # the first step not recorded, and its cursor
     rec = _Runs(
         values=np.zeros((n_runs, steps), dtype=np.intp),
         branched=np.zeros((n_runs, steps), dtype=bool),
@@ -614,38 +508,28 @@ def _ndm_runs(
         light=np.zeros(n_runs, dtype=bool),
     )
     for j in range(steps):
-        # a step takes at most two uniforms, so a run past REFILL_AT is
-        # topped up before REFILL_EVERY more steps can empty its buffer
-        if j % REFILL_EVERY == 0:
-            for r in np.flatnonzero(cursor - start > REFILL_AT):
-                used = cursor[r] - start[r]
-                uniforms[r, : DRAW_BLOCK - used] = uniforms[r, used:]
-                uniforms[r, DRAW_BLOCK - used :] = rngs[r].random(used)
-                cursor[r] = start[r]
-        level.prepare(memo)
-        br = level.br
-        u_pointer = flat[cursor + level.pointer_draw[at]]
+        br = graph.br
         chosen = br.fixed[at]
-        if level.branching:
-            born = inverse_cdf(br.weights[at], flat[cursor] * br.total[at], br.last[at])
-            chosen = np.where(br.branched[at], born, chosen)
-        cursor += level.draws[at]
+        branched = br.branched[at]
+        if branched.any():
+            born = inverse_cdf(br.weights[at], uniforms[cursor] * br.total[at], br.last[at])
+            chosen = np.where(branched, born, chosen)
         slots = at * s + chosen
-        following = level.next if level.complete else level.advance(slots, memo)
-        rec.values[:, j] = inverse_cdf(level.pointer[slots], u_pointer, k - 1)
+        child = graph.child[slots]
+        if (child < 0).any():
+            if len(graph) + n_runs > NODES_PER_RUN * n_runs:
+                graph.record(rec, taken[:, first:j], slice(first, j), uniforms, mark)
+                first, mark = j, cursor.copy()
+                rho = graph.rho[at]
+                graph = _StateGraph(scn, drift)
+                at = graph.add(rho)
+                slots = at * s + chosen
+            graph.collapse(slots)
+            child = graph.child[slots]
+        cursor += graph.draws[at]
         taken[:, j] = slots
-        at = level.child_at[slots]
-        if following is not level or j == steps - 1:
-            level.record(rec, taken[:, first : j + 1], slice(first, j + 1))
-            first = j + 1
-        level = following
-        recent.append(level)
-    # nodes and levels link in cycles: unlink them, so they are freed now
-    # rather than at the next full garbage collection
-    for node in list(memo.table.values()):
-        node.outcomes.clear()
-    for old in recent:
-        old.next = None
+        at = child
+    graph.record(rec, taken[:, first:], slice(first, steps), uniforms, mark)
     return rec
 
 
@@ -827,6 +711,8 @@ def weak_measurement_trajectories(
         raise ValidationError("drift_angle must satisfy <= 0.2 (weak drift)")
     if window < 10:
         raise ValidationError("window must be at least 10")
+    if n < window:
+        raise ValidationError(f"steps must be >= the window ({window}), got {n}")
     if scn.system_dim != 2:
         raise ValidationError("the built-in drift requires a two-level system")
     p_exact = scn.check_separation()

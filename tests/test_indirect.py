@@ -1,5 +1,4 @@
 import math
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +14,6 @@ from ethsim.errors import (
     ValidationError,
 )
 from ethsim.indirect import (
-    DRAW_BLOCK,
     MeasurementProtocol,
     NdmScenario,
     frequencies,
@@ -396,10 +394,10 @@ class TestBatchedKernel:
         for a, b in zip(rngs, lone_rngs):
             assert a.random() == b.random()
 
-    def test_draw_buffer_refills_without_moving_draws(self):
-        # steps far beyond one uniform block: the refilled buffer must keep
-        # serving each run the doubles its own generator would
-        scn = cnot_scenario(readout_phi=0.3, runs=3, steps=3 * DRAW_BLOCK)
+    def test_long_runs_keep_their_draws(self):
+        # runs of many steps: each must keep drawing the doubles its own
+        # generator would give a lone run
+        scn = cnot_scenario(readout_phi=0.3, runs=3, steps=192)
         report = ndm_experiment(scn, master_seed=9)
         seeds = np.random.SeedSequence(9).generate_state(scn.runs)
         for run, seed in zip(report.runs, seeds):
@@ -431,6 +429,58 @@ def lone_steps(scn, seed, steps, drift=None):
         outs.append(out)
         rho = out.new_system
     return outs
+
+
+def assert_runs_equal_lone_steps(scn, seeds, rec, drift=None):
+    """Each run of the driver's records ``rec`` is the loop of lone steps
+    with its seed: values, branch flags, purification, tr(rho A), light and
+    event flags, bit for bit."""
+    a = np.asarray(scn.conserved)
+    sectors = np.asarray(scn.sector_projections)
+    for r, seed in enumerate(seeds):
+        outs = lone_steps(scn, seed, scn.steps, drift)
+        assert rec.values[r].tolist() == [out.eta for out in outs]
+        assert rec.branched[r].tolist() == [out.branched for out in outs]
+        rho = np.stack([out.new_system for out in outs])
+        expect = np.trace(rho @ a, axis1=1, axis2=2).real
+        assert np.array_equal(rec.conserved_expectation[r], expect)
+        in_sector = np.trace(rho[:, None] @ sectors[None], axis1=2, axis2=3).real
+        assert np.array_equal(rec.purification[r], 1.0 - in_sector.max(axis=1))
+        light = any(out.branch_weight < 1.0 - CERTAIN_TOL for out in outs)
+        assert rec.light[r] == light
+        assert rec.events[r] == (light or any(out.branched for out in outs))
+
+
+def never_revisiting_scenario(runs, steps):
+    """s=3, A = diag(1, 1, -1).  The gate rotates the 2-dimensional sector of
+    A by an angle incommensurate with pi and clicks the probe on sector {2},
+    so every step of a run in {0, 1} makes a new state."""
+    angle = 0.7
+    c, s_ = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s_, 0], [s_, c, 0], [0, 0, 0]], dtype=complex)
+    p2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    flip = np.array([[0, 1], [1, 0]], dtype=complex)
+    gate = np.kron(rot, np.eye(2)) + np.kron(p2, flip)
+    psi = np.array([1.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
+    return NdmScenario(
+        3, 2, gate, np.diag([1.0, 1.0, -1.0]).astype(complex),
+        probe_pointer_quantity(3, 2), State(np.outer(psi, psi.conj())),
+        runs=runs, steps=steps,
+    )
+
+
+def count_graphs(monkeypatch):
+    """The state graphs the driver makes, collected as they are made."""
+    graphs = []
+    graph_class = indirect._StateGraph
+
+    def made(*args):
+        graph = graph_class(*args)
+        graphs.append(graph)
+        return graph
+
+    monkeypatch.setattr(indirect, "_StateGraph", made)
+    return graphs
 
 
 def reference_trajectory(scn, drift_angle, n, window, seed):
@@ -475,8 +525,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("drift_angle", [0.0, 0.05])
     def test_trajectories_equal_lone_step_loops(self, drift_angle):
-        # longer than three uniform blocks, so every buffer refills
-        n = 3 * DRAW_BLOCK + 17
+        n = 209
         scn = jumps_scenario(n)
         seeds = list(range(6))
         batch = weak_measurement_trajectories(scn, drift_angle, n, 25, seeds)
@@ -508,21 +557,17 @@ class TestDriver:
         )
         drift = drift_rotation(drift_angle) if drift_angle else None
         seeds = list(range(5))
-        rec = _ndm_runs(scn, seeds, scn.steps, drift)
-        a = np.asarray(scn.conserved)
-        sectors = np.asarray(scn.sector_projections)
-        for r, seed in enumerate(seeds):
-            outs = lone_steps(scn, seed, scn.steps, drift)
-            assert rec.values[r].tolist() == [out.eta for out in outs]
-            assert rec.branched[r].tolist() == [out.branched for out in outs]
-            rho = np.stack([out.new_system for out in outs])
-            expect = np.trace(rho @ a, axis1=1, axis2=2).real
-            assert np.array_equal(rec.conserved_expectation[r], expect)
-            in_sector = np.trace(rho[:, None] @ sectors[None], axis1=2, axis2=3).real
-            assert np.array_equal(rec.purification[r], 1.0 - in_sector.max(axis=1))
-            light = any(out.branch_weight < 1.0 - CERTAIN_TOL for out in outs)
-            assert rec.light[r] == light
-            assert rec.events[r] == (light or any(out.branched for out in outs))
+        assert_runs_equal_lone_steps(scn, seeds, _ndm_runs(scn, seeds, scn.steps, drift), drift)
+
+    def test_runs_equal_lone_steps_across_graph_restarts(self, monkeypatch):
+        # every step makes new states, so the state graph fills and starts
+        # again from the runs' current states several times
+        graphs = count_graphs(monkeypatch)
+        scn = never_revisiting_scenario(runs=6, steps=60)
+        seeds = list(range(6))
+        rec = _ndm_runs(scn, seeds, scn.steps)
+        assert len(graphs) >= 2
+        assert_runs_equal_lone_steps(scn, seeds, rec)
 
     def test_no_sector_structure_has_no_event(self):
         scn = jumps_scenario(100, State(np.eye(2, dtype=complex) / 2))
@@ -558,8 +603,8 @@ def count_branch_rows(monkeypatch):
 
 
 class TestDriverCost:
-    """The branch stage runs once per distinct system state, and the driver
-    holds nodes only while some run can still reach them."""
+    """The branch stage runs once per distinct system state, and the state
+    graph holds at most four nodes per run."""
 
     def test_jumps_trajectory_branches_few_states(self, monkeypatch):
         rows = count_branch_rows(monkeypatch)
@@ -573,35 +618,18 @@ class TestDriverCost:
         assert sum(rows) <= 12
 
     def test_states_never_revisited_hold_bounded_nodes(self, monkeypatch):
-        # s=3, A = diag(1, 1, -1).  The gate rotates the 2-dimensional sector
-        # of A by an angle incommensurate with pi and clicks the probe on
-        # sector {2}, so every step of a run in {0, 1} makes a new state
-        angle = 0.7
-        c, s_ = np.cos(angle), np.sin(angle)
-        rot = np.array([[c, -s_, 0], [s_, c, 0], [0, 0, 0]], dtype=complex)
-        p2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
-        flip = np.array([[0, 1], [1, 0]], dtype=complex)
-        gate = np.kron(rot, np.eye(2)) + np.kron(p2, flip)
-        psi = np.array([1.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
+        sizes = []
+        add = indirect._StateGraph.add
+
+        def counted(graph, rhos):
+            ids = add(graph, rhos)
+            sizes.append(len(graph))
+            return ids
+
+        monkeypatch.setattr(indirect._StateGraph, "add", counted)
+        graphs = count_graphs(monkeypatch)
         runs, steps = 20, 500
-        scn = NdmScenario(
-            3, 2, gate, np.diag([1.0, 1.0, -1.0]).astype(complex),
-            probe_pointer_quantity(3, 2), State(np.outer(psi, psi.conj())),
-            runs=runs, steps=steps,
-        )
-        live = weakref.WeakSet()
-        made = []
-
-        class Counted(indirect._Node):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                super().__init__(*args)
-                live.add(self)
-                made.append(len(live))
-
-        monkeypatch.setattr(indirect, "_Node", Counted)
-        rec = _ndm_runs(scn, list(range(runs)), steps)
+        rec = _ndm_runs(never_revisiting_scenario(runs, steps), list(range(runs)), steps)
         assert set(rec.values[:, 0].tolist()) == {0, 1}  # both sectors taken
-        assert len(made) >= steps  # a new state at every step
-        assert max(made) <= 4 * runs
+        assert sum(len(graph) for graph in graphs) >= steps  # a new state at every step
+        assert max(sizes) <= 4 * runs

@@ -232,20 +232,23 @@ class TestCliCommands:
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    REJECTED = [
+        (["ndm", "--scenario", "ndm", "--runs", "-1"], "--runs must be >= 1"),
+        (["ndm", "--scenario", "ndm", "--runs", "0"], "--runs must be >= 1"),
+        (["ndm", "--scenario", "ndm", "--steps", "0"], "--steps must be >= 1"),
+        (["simulate", "--scenario", "cnot", "--runs", "-2"], "--runs must be >= 1"),
+        (["jumps", "--scenario", "jumps", "--steps", "-5"], "--steps must be >= 1"),
+        # fewer steps than one window leave no window to classify
+        (["jumps", "--scenario", "jumps", "--steps", "20"], "steps must be >= the window (25)"),
+    ]
+
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["ndm", "--scenario", "ndm", "--runs", "-1"],
-            ["ndm", "--scenario", "ndm", "--runs", "0"],
-            ["ndm", "--scenario", "ndm", "--steps", "0"],
-            ["simulate", "--scenario", "cnot", "--runs", "-2"],
-            ["jumps", "--scenario", "jumps", "--steps", "-5"],
-        ],
+        "argv, message", REJECTED, ids=[f"argv{i}" for i in range(len(REJECTED))]
     )
-    def test_non_positive_runs_or_steps_rejected(self, argv, capsys):
+    def test_non_positive_runs_or_steps_rejected(self, argv, message, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: --") and "must be >= 1" in captured.err
+        assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
 
 
