@@ -38,6 +38,35 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _ndm_csv(runs: list[indirect.NdmRun]) -> str:
+    """The ``ndm --out`` CSV, byte for byte what ``csv.writer`` writes.
+
+    The purification values come from a few state-graph nodes, so each
+    distinct one is formatted once, keyed by its bits (``0.0`` and ``-0.0``
+    compare equal but print differently).  The ``r,`` run prefixes, ``j,``
+    step strings and ``eta,classified,`` pieces are built once each too, and
+    one join puts the rows together.  No field needs quoting.  The runs all
+    have the same number of steps.
+    """
+    purification = np.stack([run.purification for run in runs])
+    values = np.array([run.protocol.values for run in runs])
+    classified = np.array([run.classified for run in runs])
+    bits, inverse = np.unique(purification.view(np.int64), return_inverse=True)
+    metric = [f"{x:.17g}\r\n" for x in bits.view(np.float64).tolist()]
+    pair = [
+        [f"{eta},{c}," for eta in range(values.max() + 1)]
+        for c in range(classified.max() + 1)
+    ]
+    n_runs, n = values.shape
+    rows = np.empty((n_runs, n, 4), dtype=object)
+    rows[..., 0] = np.array([f"{r}," for r in range(n_runs)], dtype=object)[:, None]
+    rows[..., 1] = np.array([f"{j}," for j in range(1, n + 1)], dtype=object)
+    rows[..., 2] = np.array(pair, dtype=object)[classified[:, None], values]
+    rows[..., 3] = np.array(metric, dtype=object)[inverse.reshape(n_runs, n)]
+    header = "run,step,eta,estimated_alpha,purification_metric\r\n"
+    return header + "".join(rows.ravel().tolist())
+
+
 def _write_svg(path, title, series: dict):
     """Minimal line chart: one polyline per labelled series."""
     width, height, pad = 640, 360, 40
@@ -248,18 +277,8 @@ def cmd_ndm(scn: Scenario, args) -> int:
             )
         _write_lines(args.trace, lines)
     if args.out:
-        rows = [
-            [r, j, eta, run.classified, f"{x:.17g}"]
-            for r, run in enumerate(report.runs)
-            for j, (eta, x) in enumerate(
-                zip(run.protocol.values, run.purification.tolist()), start=1
-            )
-        ]
-        _write_csv(
-            args.out,
-            ["run", "step", "eta", "estimated_alpha", "purification_metric"],
-            rows,
-        )
+        with open(args.out, "w", newline="") as fh:
+            fh.write(_ndm_csv(report.runs))
     print(f"runs                = {runs}")
     print(f"steps               = {steps}")
     print(f"classified_counts   = {report.classified_counts.tolist()}")
@@ -310,7 +329,7 @@ def cmd_epr(scn: Scenario | None, args) -> int:
     print(f"unitary_marginals       = {[round(v, 12) for v in rep.unitary_marginals]}")
     print(f"strict_detection_actual = {rep.strict_actual} (weights {np.round(rep.strict_weights, 6).tolist()})")
     print(f"filter_weights          = {np.round(rep.filter_weights, 6).tolist()}")
-    print(f"incoherence_residual    = {rep.incoherence_residual:.3e}")
+    print(f"incoherence_residual    = {round(rep.incoherence_residual, 12):.3e}")
     print(f"conditional_spin        = {np.round(rep.conditional_spin, 9).tolist()}")
     print(f"samples                 = {rep.samples} (branch counts {list(rep.branch_counts)})")
     print(f"empirical_correlation   = {rep.empirical_correlation:.6f}")

@@ -540,7 +540,7 @@ def _ndm_run_list(scn: NdmScenario, seeds, steps: int, p_exact: np.ndarray) -> l
     runs = []
     for r, seed in enumerate(seeds):
         protocol = MeasurementProtocol(tuple(rec.values[r].tolist()), times, seed)
-        freq = np.array([float(f) for f in frequencies(protocol, scn.quantity.size - 1)])
+        freq = np.bincount(rec.values[r], minlength=scn.quantity.size) / steps
         branch_steps = tuple((np.flatnonzero(rec.branched[r]) + 1).tolist())
         runs.append(
             NdmRun(

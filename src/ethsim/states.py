@@ -28,7 +28,6 @@ from .errors import (
 )
 from .linalg import (
     COLLAPSE_EPS,
-    DEFAULT_TOL,
     MEMBER_TOL,
     STATE_TOL,
     WEIGHT_EPS,
@@ -93,20 +92,6 @@ class EventFamily:
 
     def __len__(self) -> int:
         return len(self.projections)
-
-    def validate(self, tol: float = DEFAULT_TOL):
-        d = self.dim
-        total = np.zeros((d, d), dtype=np.complex128)
-        for i, p in enumerate(self.projections):
-            if not is_projection(p, tol):
-                raise ValueError(f"member {i} is not an orthogonal projection")
-            total += p
-        # relative to 1 + ||identity||_2
-        if not _norm_within(total - np.eye(d), 2.0 * tol):
-            raise ValueError("projections do not sum to the identity")
-        for a, b in combinations(range(len(self.projections)), 2):
-            if not _norm_within(self.projections[a] @ self.projections[b], tol):
-                raise ValueError(f"members {a} and {b} are not disjoint")
 
 
 @dataclass(frozen=True)

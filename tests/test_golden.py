@@ -3,7 +3,8 @@
 ``GOLDEN`` was pinned before the NDM runs were batched, ``CHAIN_GOLDEN``
 before the clustering and Born-draw rules were merged into one function each,
 ``HAAR_GOLDEN`` before the operator-norm checks were first decided by the
-Frobenius norm.  These changes altered how outputs are computed, not what
+Frobenius norm, ``GOLDEN["ndm_noisy_seed7"]`` and ``TRACE_GOLDEN`` before the
+``ndm`` CSV was written from shared string pieces.  These changes altered how outputs are computed, not what
 they are, so these files must stay byte-identical.  The digests depend on the exact
 floating-point results of NumPy and its BLAS (CSVs and traces print weights
 and the purification metric to 17 digits).
@@ -32,6 +33,19 @@ GOLDEN = {
         ["jumps", "--scenario", "jumps", "--seed", "0", "--steps", "2000"],
         "8cc34fbafbfa8562597b5d40f1df9718684c9259218ad02876fa6b3cd606f395",
         "591efbe512a8f7b099e50ae1f7ff7d46a18c7a8dafde0068b63ea8a755455250",
+    ),
+    "ndm_noisy_seed7": (
+        ["ndm", "--scenario", "ndm_noisy", "--seed", "7", "--runs", "100", "--steps", "400"],
+        "e7e9ac0f4cf24f69033e6916f285d57cc4957adea2fa4aded87643a4f20a8ec4",
+        "8d8b22274367ce2f55a6085e620fb6fd3e5b0e2c4aef80af51ec03098e77de96",
+    ),
+}
+
+# name -> (argv, digest of the --trace JSONL)
+TRACE_GOLDEN = {
+    "ndm_noisy": (
+        ["ndm", "--scenario", "ndm_noisy", "--seed", "0", "--runs", "100", "--steps", "400"],
+        "d146f4eaa65b5528d4e9a053cb5601b17daacdcd9e608c6cf57e87da4785f9e5",
     ),
 }
 
@@ -130,6 +144,14 @@ def test_cli_outputs_match_pinned_digests(name, tmp_path, capsys):
     assert sha256(out.read_bytes()) == csv_digest
     if stdout_digest is not None:
         assert sha256(capsys.readouterr().out.encode()) == stdout_digest
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_GOLDEN))
+def test_cli_traces_match_pinned_digests(name, tmp_path):
+    argv, trace_digest = TRACE_GOLDEN[name]
+    trace = tmp_path / f"{name}.jsonl"
+    assert main(argv + ["--trace", str(trace)]) == 0
+    assert sha256(trace.read_bytes()) == trace_digest
 
 
 @pytest.mark.parametrize(

@@ -72,6 +72,16 @@ class TestProtocolBasics:
         p = MeasurementProtocol((0, 1, 1, 0, 1), (1, 2, 3, 4, 5), 0)
         assert frequencies(p, 1)[1] == Fraction(3, 5)
 
+    def test_bincount_gives_the_exact_frequencies_rounded(self):
+        # _ndm_run_list classifies on np.bincount(values) / n: both divisions
+        # are correctly rounded, so the doubles are those of the rationals
+        rng = np.random.default_rng(0)
+        for n in (1, 3, 7, 49, 400, 1001):
+            values = rng.integers(0, 3, n)
+            p = MeasurementProtocol(tuple(values.tolist()), tuple(range(1, n + 1)), 0)
+            exact = [float(f) for f in frequencies(p, 2)]
+            assert (np.bincount(values, minlength=3) / n).tolist() == exact
+
     def test_empty(self):
         with pytest.raises(EmptyProtocol):
             frequencies(MeasurementProtocol((), (), 0), 1)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import io
 import json
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 
 from ethsim.algebra import StarAlgebra
 from ethsim.chain import ChainModel
-from ethsim.cli import main
+from ethsim.cli import _ndm_csv, main
 from ethsim.errors import ParseError, ValidationError
+from ethsim.indirect import MeasurementProtocol, NdmRun
 from ethsim.scenario import (
     build_model,
     build_ndm,
@@ -208,6 +210,29 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "empirical_correlation" in out
 
+    def test_epr_filter_prints_exact_zero_residual(self, tmp_path, capsys):
+        # the residual is 0 in exact arithmetic; theta_filter 0.7 leaves
+        # rounding noise of about 1e-16 that must not be printed
+        doc = {
+            "name": "epr_filtered",
+            "system_dim": 4,
+            "probe_dim": 2,
+            "horizon": 2,
+            "gates": [
+                {"name": "cnot", "control_states": [2, 3]},
+                {"name": "cnot", "control_states": [1, 3]},
+            ],
+            "initial_state": "singlet_pair",
+            "theta_filter": 0.7,
+            "seed": 0,
+        }
+        path = tmp_path / "epr_filtered.json"
+        path.write_text(json.dumps(doc))
+        assert main(["epr-demo", "--scenario", str(path), "--runs", "200"]) == 0
+        out = capsys.readouterr().out
+        assert "theta_filter            = 0.7\n" in out
+        assert "incoherence_residual    = 0.000e+00\n" in out
+
     def test_delta_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--scenario", "cnot", "--delta", "0.01"])
@@ -250,6 +275,57 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
+
+
+def _ndm_run(values, purification, classified):
+    return NdmRun(
+        protocol=MeasurementProtocol(tuple(values), tuple(range(1, len(values) + 1)), 0),
+        first_event_step=None,
+        branch_steps=(),
+        purification=np.array(purification, dtype=float),
+        conserved_expectation=np.zeros(len(values)),
+        classified=classified,
+    )
+
+
+def _csv_writer_text(runs):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["run", "step", "eta", "estimated_alpha", "purification_metric"])
+    writer.writerows(
+        [r, j, eta, run.classified, f"{x:.17g}"]
+        for r, run in enumerate(runs)
+        for j, (eta, x) in enumerate(zip(run.protocol.values, run.purification.tolist()), start=1)
+    )
+    return buf.getvalue()
+
+
+class TestNdmCsv:
+    """``cli._ndm_csv`` writes what ``csv.writer`` writes for the same rows."""
+
+    SIGNED_ZEROS = [0.0, -0.0, -2.220446049250313e-16, 1e-300]
+
+    def test_one_step_runs(self):
+        runs = [_ndm_run([eta], [x], c) for eta, x, c in [(0, 0.0, 1), (1, -0.0, 0), (1, 0.5, 2)]]
+        assert _ndm_csv(runs) == _csv_writer_text(runs)
+
+    def test_values_differing_only_in_bits(self):
+        runs = [
+            _ndm_run([0, 1, 0, 1], self.SIGNED_ZEROS, 0),
+            _ndm_run([1, 1, 0, 0], self.SIGNED_ZEROS[::-1], 1),
+            _ndm_run([0, 0, 0, 0], [0.0, 0.0, 0.0, 0.0], 1),
+        ]
+        text = _ndm_csv(runs)
+        assert text == _csv_writer_text(runs)
+        assert "0,2,1,0,-0\r\n" in text and "0,1,0,0,0\r\n" in text
+
+    def test_many_runs_steps_and_values(self):
+        rng = np.random.default_rng(3)
+        runs = [
+            _ndm_run(rng.integers(0, 12, 15).tolist(), rng.standard_normal(15) * 10.0 ** rng.integers(-300, 300), c)
+            for c in rng.integers(0, 3, 13).tolist()
+        ]
+        assert _ndm_csv(runs) == _csv_writer_text(runs)
 
 
 class TestTraceFormat:
