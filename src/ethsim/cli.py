@@ -326,7 +326,7 @@ def cmd_epr(scn: Scenario | None, args) -> int:
     samples = args.runs if args.runs is not None else (scn.runs if scn else 10_000)
     rep = hist.epr_demo(theta, seed=seed, samples=samples)
     print(f"theta_filter            = {rep.theta_filter}")
-    print(f"unitary_marginals       = {[round(v, 12) for v in rep.unitary_marginals]}")
+    print(f"unitary_marginals       = {[round(v, 12) + 0.0 for v in rep.unitary_marginals]}")
     print(f"strict_detection_actual = {rep.strict_actual} (weights {np.round(rep.strict_weights, 6).tolist()})")
     print(f"filter_weights          = {np.round(rep.filter_weights, 6).tolist()}")
     print(f"incoherence_residual    = {round(rep.incoherence_residual, 12):.3e}")

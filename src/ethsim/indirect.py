@@ -20,6 +20,7 @@ pure, and it has no horizon cap.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -157,6 +158,9 @@ class NdmScenario:
 # A state graph holds at most this many nodes per run; one that would grow
 # past it starts again from the runs' current states.
 NODES_PER_RUN = 4
+
+# ``_StateGraph.record`` gathers the records of this many runs at a time.
+RECORD_BLOCK = 16
 
 
 def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -367,6 +371,22 @@ def classify_frequencies(freq: np.ndarray, p_exact: np.ndarray, prev: int | None
     return best
 
 
+def _window_estimates(freqs: np.ndarray, p_exact: np.ndarray) -> list[list[int]]:
+    """``classify_frequencies`` of each run's consecutive windows, (R, W, k).
+
+    A window's previous value is the estimate of the window before it.  The
+    distances of all windows are one array operation; only a window where
+    two sectors tie goes through ``classify_frequencies``, since elsewhere
+    the nearest sector is its estimate.
+    """
+    dists = np.abs(p_exact - freqs[..., None, :]).sum(axis=-1)
+    out = dists.argmin(axis=-1).tolist()
+    tied = (np.abs(dists - dists.min(axis=-1, keepdims=True)) < TIE_TOL).sum(axis=-1) > 1
+    for r, w in np.argwhere(tied).tolist():
+        out[r][w] = classify_frequencies(freqs[r, w], p_exact, out[r][w - 1] if w else None)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the driver: one state graph of the distinct system states
 
@@ -455,22 +475,41 @@ class _StateGraph:
         self.child[new] = child
 
     def record(
-        self, rec: _Runs, slots: np.ndarray, steps: slice, uniforms: np.ndarray, mark: np.ndarray
+        self,
+        rec: _Runs,
+        taken: np.ndarray,
+        first: np.ndarray,
+        stop: np.ndarray,
+        uniforms: np.ndarray,
+        mark: np.ndarray,
     ) -> None:
-        """Fill the records of ``steps``, at which the runs took ``slots``.
+        """Fill run r's records of steps ``first[r]`` to ``stop[r] - 1``, at
+        which it took the slots ``taken[r]``.
 
         Run r's uniforms for these steps start at ``uniforms[mark[r]]``; a
-        step's pointer draw takes the last of its uniforms.
+        step's pointer draw takes the last of its uniforms.  The runs are
+        gathered ``RECORD_BLOCK`` at a time, over the steps any of them
+        walked; slot 0 stands in for the steps a run did not.
         """
-        nodes, child = slots // self.scn.system_dim, self.child[slots]
-        rec.branched[:, steps] = self.br.branched[nodes]
-        rec.purification[:, steps] = self.purification[child]
-        rec.conserved_expectation[:, steps] = self.expectation[child]
-        rec.light |= self.light[slots].any(axis=1)
-        u = uniforms[mark[:, None] + self.draws[nodes].cumsum(axis=1) - 1]
-        k = self.pointer.shape[1]
-        values = inverse_cdf(self.pointer[slots].reshape(-1, k), u.reshape(-1), k - 1)
-        rec.values[:, steps] = values.reshape(slots.shape)
+        s, k = self.scn.system_dim, self.pointer.shape[1]
+        for b in range(0, len(first), RECORD_BLOCK):
+            runs = slice(b, b + RECORD_BLOCK)
+            lo, hi = first[runs].min(), stop[runs].max()
+            steps = np.arange(lo, hi)
+            walked = (first[runs, None] <= steps) & (steps < stop[runs, None])
+            slots = np.where(walked, taken[runs, lo:hi], 0)
+            nodes, child = slots // s, self.child[slots]
+            draws = np.where(walked, self.draws[nodes], 0)
+            u = uniforms[mark[runs, None] + draws.cumsum(axis=1) - 1]
+            values = inverse_cdf(self.pointer[slots].reshape(-1, k), u.reshape(-1), k - 1)
+            for out, new in (
+                (rec.values, values.reshape(slots.shape)),
+                (rec.branched, self.br.branched[nodes]),
+                (rec.purification, self.purification[child]),
+                (rec.conserved_expectation, self.expectation[child]),
+            ):
+                out[runs, lo:hi][walked] = new[walked]
+            rec.light[runs] |= (self.light[slots] & walked).any(axis=1)
 
 
 def _ndm_runs(
@@ -479,27 +518,35 @@ def _ndm_runs(
     steps: int,
     drift: np.ndarray | None = None,
 ) -> _Runs:
-    """Independent runs advanced together, one probe step at a time.
+    """Independent runs, walked one at a time through one shared state graph.
 
     ``drift``, a unitary on the system, rotates the state before each step.
-    Each run stands on a node of one ``_StateGraph``, its current system
-    state; a step gathers the runs' rows by node id and collapses the
-    (node, sector) slots no run took before in one stacked call.  Run r
-    draws its uniforms up front, ``default_rng(seeds[r]).random(2 * steps)``
-    (a step takes at most two), and uses them in the order a lone run
-    would, so every run is the one a loop of ``_measurement_step`` calls
-    gives.  The records are gathered from the taken slots at the end.  A
-    graph about to hold more than ``NODES_PER_RUN`` nodes per run starts
-    again from the runs' current states, so a chain that never revisits a
-    state holds O(runs) nodes, not O(runs * steps).
+    Each round, every unfinished run walks on its own, in Python scalars read
+    from the ``_StateGraph`` tables, until it finishes or takes a (node,
+    sector) slot no run took before; the round's blocked slots are then
+    collapsed in one stacked call.  A node that does not branch has one next
+    slot, so a stretch of such nodes that comes back to a node repeats until
+    the run ends: the rest of the run is that cycle, tiled.
+
+    Run r draws its uniforms up front,
+    ``default_rng(seeds[r]).random(2 * steps)`` (a step takes at most two),
+    and uses them in the order a lone run would.  A branch draw is
+    ``inverse_cdf`` on one row in the same arithmetic: ``bisect_right`` counts
+    the running weights at or below ``u * total``.  So every run is the one a
+    loop of ``_measurement_step`` calls gives.  The records are gathered from
+    the taken slots.  A graph about to hold more than ``NODES_PER_RUN`` nodes
+    per run starts again from the runs' current states, so a chain that never
+    revisits a state holds O(runs) nodes, not O(runs * steps).
     """
     n_runs, s = len(seeds), scn.system_dim
     uniforms = np.concatenate([np.random.default_rng(seed).random(2 * steps) for seed in seeds])
-    cursor = np.arange(n_runs) * (2 * steps)  # each run's next uniform
+    u = memoryview(uniforms)
     graph = _StateGraph(scn, drift)
-    at = graph.add(np.asarray(scn.initial_system.density)[None]).repeat(n_runs)
-    taken = np.zeros((n_runs, steps), dtype=np.intp)  # each step's slots
-    first, mark = 0, cursor.copy()  # the first step not recorded, and its cursor
+    at = graph.add(np.asarray(scn.initial_system.density)[None]).repeat(n_runs).tolist()
+    step = [0] * n_runs  # each run's next step
+    cursor = list(range(0, 2 * steps * n_runs, 2 * steps))  # each run's next uniform
+    first, mark = np.array(step), np.array(cursor)  # where each run stood when the graph began
+    taken = np.zeros((n_runs, steps), dtype=np.intp)  # each step's slot
     rec = _Runs(
         values=np.zeros((n_runs, steps), dtype=np.intp),
         branched=np.zeros((n_runs, steps), dtype=bool),
@@ -507,29 +554,55 @@ def _ndm_runs(
         conserved_expectation=np.zeros((n_runs, steps)),
         light=np.zeros(n_runs, dtype=bool),
     )
-    for j in range(steps):
+    live = list(range(n_runs))
+    while live:
         br = graph.br
-        chosen = br.fixed[at]
-        branched = br.branched[at]
-        if branched.any():
-            born = inverse_cdf(br.weights[at], uniforms[cursor] * br.total[at], br.last[at])
-            chosen = np.where(branched, born, chosen)
-        slots = at * s + chosen
-        child = graph.child[slots]
-        if (child < 0).any():
-            if len(graph) + n_runs > NODES_PER_RUN * n_runs:
-                graph.record(rec, taken[:, first:j], slice(first, j), uniforms, mark)
-                first, mark = j, cursor.copy()
-                rho = graph.rho[at]
-                graph = _StateGraph(scn, drift)
-                at = graph.add(rho)
-                slots = at * s + chosen
-            graph.collapse(slots)
-            child = graph.child[slots]
-        cursor += graph.draws[at]
-        taken[:, j] = slots
-        at = child
-    graph.record(rec, taken[:, first:], slice(first, steps), uniforms, mark)
+        tables = (br.branched, br.fixed, br.last, br.total, graph.draws, graph.child)
+        branched, fixed, last, total, draws, child = (t.tolist() for t in tables)
+        cum = br.weights.cumsum(axis=1).tolist()
+        blocked = []  # the slot each unfinished run waits on
+        for r in live:
+            j, node, c = step[r], at[r], cursor[r]
+            path, seen = [], {}  # seen: non-branching nodes of this stretch, by path index
+            while j < steps:
+                if branched[node]:
+                    a = min(bisect_right(cum[node], u[c] * total[node]), last[node])
+                    if seen:
+                        seen = {}
+                else:
+                    start = seen.get(node)
+                    if start is not None:  # the rest of the run repeats path[start:]
+                        cycle = path[start:]
+                        taken[r, j:] = np.tile(cycle, (steps - j) // len(cycle) + 1)[: steps - j]
+                        j = steps
+                        break
+                    seen[node] = len(path)
+                    a = fixed[node]
+                slot = node * s + a
+                if child[slot] < 0:
+                    blocked.append(slot)
+                    break
+                path.append(slot)
+                c += draws[node]
+                node = child[slot]
+                j += 1
+            taken[r, step[r] : step[r] + len(path)] = path
+            step[r], at[r], cursor[r] = j, node, c
+        live = [r for r in live if step[r] < steps]
+        if not live:
+            break
+        slots = np.array(blocked)
+        if len(graph) + len(set(blocked)) > NODES_PER_RUN * n_runs:
+            graph.record(rec, taken, first, np.array(step), uniforms, mark)
+            first, mark = np.array(step), np.array(cursor)
+            rho = graph.rho[[at[r] for r in live]]
+            graph = _StateGraph(scn, drift)
+            nodes = graph.add(rho)
+            for r, node in zip(live, nodes.tolist()):
+                at[r] = node
+            slots = nodes * s + slots % s
+        graph.collapse(slots)
+    graph.record(rec, taken, first, np.array(step), uniforms, mark)
     return rec
 
 
@@ -572,7 +645,7 @@ def ndm_experiment(
     Reports per-run convergence curves (for the first ``curve_samples`` runs),
     the empirical distribution of classified sectors, the exact Born weights
     of the sectors for comparison, and per-run purification trajectories.
-    All runs advance as one batch; run r is ``run_ndm_protocol`` with the
+    All runs share one ``_ndm_runs`` call; run r is ``run_ndm_protocol`` with the
     r-th seed spawned from ``master_seed``.
     """
     p_exact = scn.check_separation()
@@ -704,7 +777,7 @@ def weak_measurement_trajectories(
     pin the state to a sector, producing a piecewise-constant trajectory with
     occasional jumps.  The per-window estimate is the classification of the
     window's pointer frequencies, ties keeping the previous value.  One
-    trajectory per seed; all of them advance as one batch, and each is the
+    trajectory per seed; all of them share one ``_ndm_runs`` call, and each is the
     one ``weak_measurement_trajectory`` gives for its seed.
     """
     if drift_angle > 0.2:
@@ -723,24 +796,16 @@ def weak_measurement_trajectories(
         raise NoEventError("no events occurred along the trajectory")
     transition = sector_transition_matrix(scn, drift)
     transition.flags.writeable = False  # one matrix, shared by the batch
-    k = scn.quantity.size
-    n_sec = p_exact.shape[0]
+    k, n_sec = scn.quantity.size, p_exact.shape[0]
+    windows = rec.values[:, : n - n % window].reshape(len(rec.values), -1, window)
+    freqs = (windows[..., None] == np.arange(k)).sum(axis=2) / window
     out = []
-    for seed, values in zip(seeds, rec.values):
-        etas = values.tolist()
-        estimates = []
-        prev = None
-        for w0 in range(0, n - window + 1, window):
-            chunk = etas[w0 : w0 + window]
-            freq = np.array([chunk.count(e) / window for e in range(k)])
-            est = classify_frequencies(freq, p_exact, prev)
-            estimates.append(est)
-            prev = est
+    for seed, values, estimates in zip(seeds, rec.values, _window_estimates(freqs, p_exact)):
         jumps = sum(1 for a, b in zip(estimates, estimates[1:]) if a != b)
         dwell = np.array([estimates.count(a) / len(estimates) for a in range(n_sec)])
         out.append(
             JumpTrajectory(
-                etas=tuple(etas),
+                etas=tuple(values.tolist()),
                 window=window,
                 window_estimates=tuple(estimates),
                 jump_count=jumps,

@@ -4,10 +4,13 @@
 before the clustering and Born-draw rules were merged into one function each,
 ``HAAR_GOLDEN`` before the operator-norm checks were first decided by the
 Frobenius norm, ``GOLDEN["ndm_noisy_seed7"]`` and ``TRACE_GOLDEN`` before the
-``ndm`` CSV was written from shared string pieces.  These changes altered how outputs are computed, not what
-they are, so these files must stay byte-identical.  The digests depend on the exact
-floating-point results of NumPy and its BLAS (CSVs and traces print weights
-and the purification metric to 17 digits).
+``ndm`` CSV was written from shared string pieces, and ``GOLDEN["jumps_seed7"]``,
+``GOLDEN["ndm_noisy_lone_run"]`` and ``WEAK_BATCH_GOLDEN`` before each run was
+walked through the state graph in Python scalars.  These changes altered how
+outputs are computed, not what they are, so these files must stay
+byte-identical.  The digests depend on the exact floating-point results of
+NumPy and its BLAS (CSVs and traces print weights and the purification metric
+to 17 digits).
 """
 
 import hashlib
@@ -17,6 +20,8 @@ import numpy as np
 import pytest
 
 from ethsim.cli import main
+from ethsim.indirect import weak_measurement_trajectories
+from ethsim.scenario import build_ndm, resolve_scenario
 
 GOLDEN = {
     "ndm_noisy": (
@@ -38,6 +43,17 @@ GOLDEN = {
         ["ndm", "--scenario", "ndm_noisy", "--seed", "7", "--runs", "100", "--steps", "400"],
         "e7e9ac0f4cf24f69033e6916f285d57cc4957adea2fa4aded87643a4f20a8ec4",
         "8d8b22274367ce2f55a6085e620fb6fd3e5b0e2c4aef80af51ec03098e77de96",
+    ),
+    "jumps_seed7": (
+        ["jumps", "--scenario", "jumps", "--seed", "7", "--steps", "2000"],
+        "3f09b736319706009487a1d6b0aca97e848175aeb64b48991b71f6ff0639aa02",
+        "c100efd4121a6ddab505c2b4eb8775cc34c6393dc859232876e1abd8ae17abe4",
+    ),
+    # a lone run meets 7 states, so its state graph fills and starts again
+    "ndm_noisy_lone_run": (
+        ["ndm", "--scenario", "ndm_noisy", "--seed", "1", "--runs", "1", "--steps", "400"],
+        "2abec8205721d372ae12b3f40dbae171e1ae93813620b002c42429ec47819a68",
+        "66f98711b6abdff38df591527dfee7138821c41a9383c50079aa9e88aa7a5d8a",
     ),
 }
 
@@ -152,6 +168,23 @@ def test_cli_traces_match_pinned_digests(name, tmp_path):
     trace = tmp_path / f"{name}.jsonl"
     assert main(argv + ["--trace", str(trace)]) == 0
     assert sha256(trace.read_bytes()) == trace_digest
+
+
+# The batch of the weak-measurement acceptance test: 100 trajectories of
+# 2000 steps, drift 0.05, window 25, seeds 0..99.  Digests of the JSON list
+# of each trajectory's pointer values and of its window estimates.
+WEAK_BATCH_GOLDEN = (
+    "b50a2cced7a948736c6825654d917270624830a1b590f30bd5bf8d8ff11be899",
+    "25fcd9acafdc496e7c44f8367eaf0e6d83b1e72490a1cdbdf2fee72b2373e87b",
+)
+
+
+def test_weak_measurement_batch_matches_pinned_digests():
+    scn = build_ndm(resolve_scenario("jumps"), runs=1, steps=2000)
+    batch = weak_measurement_trajectories(scn, 0.05, 2000, 25, range(100))
+    etas_digest, estimates_digest = WEAK_BATCH_GOLDEN
+    assert sha256(json.dumps([t.etas for t in batch]).encode()) == etas_digest
+    assert sha256(json.dumps([t.window_estimates for t in batch]).encode()) == estimates_digest
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,23 @@ class TestProtocolBasics:
         with pytest.raises(EmptyProtocol):
             frequencies(MeasurementProtocol((), (), 0), 1)
 
+    def test_window_estimates_equal_one_window_at_a_time(self):
+        # [0.5, 0.5] ties the two sectors: it keeps the window before it
+        p_exact = np.array([[0.9, 0.1], [0.1, 0.9]])
+        runs = [
+            [[0.5, 0.5], [0.8, 0.2], [0.5, 0.5], [0.2, 0.8], [0.5, 0.5], [0.5, 0.5]],
+            [[0.2, 0.8], [0.5, 0.5], [0.5, 0.5], [0.8, 0.2], [0.3, 0.7], [0.5, 0.5]],
+        ]
+        want = []
+        for freqs in runs:
+            estimates, prev = [], None
+            for freq in np.array(freqs):
+                prev = indirect.classify_frequencies(freq, p_exact, prev)
+                estimates.append(prev)
+            want.append(estimates)
+        assert want == [[0, 0, 0, 1, 1, 1], [1, 1, 1, 0, 1, 1]]
+        assert indirect._window_estimates(np.array(runs), p_exact) == want
+
 
 class TestScenarioValidation:
     def test_conservation_enforced(self):
@@ -461,22 +478,42 @@ def assert_runs_equal_lone_steps(scn, seeds, rec, drift=None):
         assert rec.events[r] == (light or any(out.branched for out in outs))
 
 
-def never_revisiting_scenario(runs, steps):
+def never_revisiting_scenario(runs, steps, psi=None):
     """s=3, A = diag(1, 1, -1).  The gate rotates the 2-dimensional sector of
     A by an angle incommensurate with pi and clicks the probe on sector {2},
-    so every step of a run in {0, 1} makes a new state."""
+    so every step of a run in {0, 1} makes a new state.  The start is the
+    pure state ``psi``, (|0> + |2>) / sqrt(2) by default."""
     angle = 0.7
     c, s_ = np.cos(angle), np.sin(angle)
     rot = np.array([[c, -s_, 0], [s_, c, 0], [0, 0, 0]], dtype=complex)
     p2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
     flip = np.array([[0, 1], [1, 0]], dtype=complex)
     gate = np.kron(rot, np.eye(2)) + np.kron(p2, flip)
-    psi = np.array([1.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
+    if psi is None:
+        psi = np.array([1.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
     return NdmScenario(
         3, 2, gate, np.diag([1.0, 1.0, -1.0]).astype(complex),
         probe_pointer_quantity(3, 2), State(np.outer(psi, psi.conj())),
         runs=runs, steps=steps,
     )
+
+
+def returning_scenario(steps, angle=0.6):
+    """s=3, A = diag(1, -1, -1); the probe clicks on level 0.  The drift
+    maps |1> to |2> and |2> to cos|0> + sin|1>: a run on |1> takes one
+    step that does not branch, to |2>, and one that branches back onto |1>
+    or onto |0>, so a node that does not branch recurs after a branch."""
+    c, s_ = np.cos(angle), np.sin(angle)
+    drift = np.array([[-s_, 0, c], [c, 0, s_], [0, 1, 0]], dtype=complex)
+    p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    flip = np.array([[0, 1], [1, 0]], dtype=complex)
+    gate = np.kron(p0, flip) + np.kron(np.eye(3) - p0, np.eye(2))
+    start = State(np.diag([0.0, 1.0, 0.0]).astype(complex))
+    scn = NdmScenario(
+        3, 2, gate, np.diag([1.0, -1.0, -1.0]).astype(complex),
+        probe_pointer_quantity(3, 2), start, runs=1, steps=steps,
+    )
+    return scn, drift
 
 
 def count_graphs(monkeypatch):
@@ -577,6 +614,58 @@ class TestDriver:
         seeds = list(range(6))
         rec = _ndm_runs(scn, seeds, scn.steps)
         assert len(graphs) >= 2
+        assert_runs_equal_lone_steps(scn, seeds, rec)
+
+    @pytest.mark.parametrize("steps", [49, 50, 51])
+    def test_cycles_cut_mid_tile_equal_lone_steps(self, steps):
+        # after its first step an ndm_noisy run cycles through three states
+        # that do not branch; the step counts leave every remainder of the
+        # cycle, so the tiled tail is cut mid-cycle
+        scn = build_ndm(resolve_scenario("ndm_noisy"), runs=6, steps=steps)
+        seeds = list(range(6))
+        assert_runs_equal_lone_steps(scn, seeds, _ndm_runs(scn, seeds, steps))
+
+    def test_drifted_light_sector_start_equal_lone_steps(self):
+        # the drift turns the start onto a sector weighing 1e-10: the first
+        # step does not branch, and every later one does
+        angle = 0.05
+        scn = cnot_scenario(readout_phi=0.3)
+        scn = NdmScenario(
+            2, 2, scn.gate, scn.conserved, scn.quantity, system_state(1e-5 - angle),
+            runs=1, steps=60,
+        )
+        drift, seeds = drift_rotation(angle), list(range(5))
+        rec = _ndm_runs(scn, seeds, scn.steps, drift)
+        assert not rec.branched[:, 0].any() and rec.branched[:, 1:].all()
+        assert rec.light.all()
+        assert_runs_equal_lone_steps(scn, seeds, rec, drift)
+
+    def test_node_recurring_after_a_branch_is_no_cycle(self):
+        scn, drift = returning_scenario(steps=40)
+        seeds = list(range(6))
+        rec = _ndm_runs(scn, seeds, scn.steps, drift)
+        assert not rec.branched[:, 0].any()
+        assert (rec.branched[:, :-1] & ~rec.branched[:, 1:]).any()
+        assert_runs_equal_lone_steps(scn, seeds, rec, drift)
+
+    def test_restart_while_runs_stand_at_different_steps(self, monkeypatch):
+        # the start branches: runs in sector {2} then finish at once, by
+        # the tiled one-state cycle, while the others make a new state at
+        # every step and fill the graph
+        stops = []
+        record = indirect._StateGraph.record
+
+        def spy(graph, rec, taken, first, stop, uniforms, mark):
+            stops.append(stop.tolist())
+            record(graph, rec, taken, first, stop, uniforms, mark)
+
+        monkeypatch.setattr(indirect._StateGraph, "record", spy)
+        psi = np.array([0.8, 0.0, 0.6], dtype=complex)
+        scn = never_revisiting_scenario(runs=6, steps=60, psi=psi)
+        seeds = list(range(6))
+        rec = _ndm_runs(scn, seeds, scn.steps)
+        restarts = stops[:-1]
+        assert any(len(set(stop)) > 1 for stop in restarts)
         assert_runs_equal_lone_steps(scn, seeds, rec)
 
     def test_no_sector_structure_has_no_event(self):

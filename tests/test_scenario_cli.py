@@ -233,6 +233,27 @@ class TestCliCommands:
         assert "theta_filter            = 0.7\n" in out
         assert "incoherence_residual    = 0.000e+00\n" in out
 
+    def test_epr_filter_prints_unsigned_zero_marginals(self, tmp_path, capsys):
+        # the marginals are 0 in exact arithmetic; with theta_filter 0.7 two
+        # of them round to -0.0, whose sign is noise
+        doc = {
+            "name": "epr_filtered",
+            "system_dim": 4,
+            "probe_dim": 2,
+            "horizon": 2,
+            "gates": [
+                {"name": "cnot", "control_states": [2, 3]},
+                {"name": "cnot", "control_states": [1, 3]},
+            ],
+            "initial_state": "singlet_pair",
+            "theta_filter": 0.7,
+            "seed": 0,
+        }
+        path = tmp_path / "epr_filtered.json"
+        path.write_text(json.dumps(doc))
+        assert main(["epr-demo", "--scenario", str(path), "--runs", "200"]) == 0
+        assert "unitary_marginals       = [0.0, 0.0, 0.0]\n" in capsys.readouterr().out
+
     def test_delta_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--scenario", "cnot", "--delta", "0.01"])
