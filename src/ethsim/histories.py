@@ -4,7 +4,11 @@ A history samples one branch per actual event with Born probabilities; a tree
 enumerates all of them.  Sibling branches carry different (generally
 non-commuting) future event families, which is what separates this process
 from a classical branching process: each node's event is computed from that
-node's own collapsed state.
+node's own collapsed state.  Every walker of the process (``sample_histories``,
+``enumerate_tree`` and ``indirect.run_protocol``) expands a node through the
+one step ``_expand``: detect the node's event, then collapse a child onto
+the branch the walker takes.  The walkers differ only in which branches they
+take.
 
 The path measure assigns to an ordered event sequence the weight
 
@@ -33,7 +37,8 @@ from .chain import (
     singlet_pair_density,
 )
 from .errors import DepthExceeded, OutOfRange, TreeTooLarge
-from .linalg import SIGMA_X, SIGMA_Z, WEIGHT_EPS, embed_site_operator, kron_all
+from .linalg import MEASURE_FLOOR, NEGATIVE_WEIGHT_TOL, SIGMA_X, SIGMA_Z, WEIGHT_EPS, WEIGHT_SUM_TOL
+from .linalg import embed_site_operator, kron_all
 from .states import (
     EventDetection,
     State,
@@ -46,20 +51,11 @@ from .states import (
 from .trace import fingerprint
 
 
-def _detect(
-    model: ChainModel,
-    state: State,
-    t: int,
-    weight_eps: float,
-    engine: str,
-    rng_seed: int = 0,
-) -> EventDetection:
+def _detect(model: ChainModel, state: State, t: int, weight_eps: float, engine: str) -> EventDetection:
     if engine == "reduced":
         return model.detect_event_reduced(state, t, weight_eps)
     if engine == "generic":
-        return detect_event(
-            state, model.algebra_at(t).algebra, t, weight_eps, rng_seed=rng_seed
-        )
+        return detect_event(state, model.algebra_at(t).algebra, t, weight_eps)
     raise ValueError(f"unknown detection engine '{engine}'")
 
 
@@ -72,6 +68,38 @@ def _born_cdf(weights, weight_eps: float):
     """
     masked, total, last = positive_weights(weights, weight_eps)
     return masked / total, last
+
+
+@dataclass(frozen=True)
+class _Node:
+    """A state expanded at step t: its event detection and each branch's
+    (label, weight).  Without an actual event, ``event`` is None, ``weights``
+    () and ``entropy`` 0, and the one branch (None, 1.0) keeps the state."""
+
+    state: State
+    detection: EventDetection
+    event: object | None
+    weights: tuple[float, ...]
+    entropy: float  # the event's missing information
+    branches: tuple[tuple[str | None, float], ...]
+    weight_eps: float
+
+    def child(self, k: int) -> State:
+        """The state on branch k, collapsed on demand."""
+        if self.event is None:
+            return self.state
+        return collapse(self.state, self.event.projections[k], self.weight_eps)
+
+
+def _expand(model: ChainModel, state: State, t: int, weight_eps: float, engine: str) -> _Node:
+    """Detect the event of ``state`` at step ``t``: the node step of every walker."""
+    det = _detect(model, state, t, weight_eps, engine)
+    if not det.actual:
+        return _Node(state, det, None, (), 0.0, ((None, 1.0),), weight_eps)
+    branches = tuple(zip(det.event.labels, det.weights))
+    return _Node(
+        state, det, det.event, det.weights, missing_information(det.weights), branches, weight_eps
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +129,12 @@ def missing_information(weights) -> float:
     total = 0.0
     s = 0.0
     for w in weights:
-        if w < -1e-12:
+        if w < -NEGATIVE_WEIGHT_TOL:
             raise ValueError(f"negative weight {w}")
         s += w
         if w > 0.0:
             total -= w * math.log(w)
-    if s > 1.0 + 1e-9:
+    if s > 1.0 + WEIGHT_SUM_TOL:
         raise ValueError(f"weights sum to {s} > 1")
     return total
 
@@ -137,11 +165,12 @@ def sample_histories(
 
     A history's state after step t depends only on the branches chosen so
     far, so the runs are advanced breadth-first, one depth at a time, grouped
-    by the tree node they stand on.  Each distinct node is detected once, and
+    by the tree node they stand on.  Each distinct node is expanded once, and
     each distinct branch of it collapsed and fingerprinted once into a step
     that every run taking that branch shares.  Each run draws its uniforms
-    from its own ``default_rng(seed)``, one per actual event, as a lone run
-    does.  Only the states of the current depth are held.
+    from its own ``default_rng(seed)``, one per actual event, on the
+    normalised Born weights, as a lone run does.  Only the states of the
+    current depth are held.
     """
     horizon = model.horizon if horizon is None else horizon
     if horizon > model.horizon:
@@ -154,41 +183,30 @@ def sample_histories(
     for t in range(1, horizon + 1):
         below = []
         for state, runs in level:
-            det = _detect(model, state, t, weight_eps, engine)
-            if not det.actual:
-                step = HistoryStep(
-                    t=t,
-                    event=None,
-                    weights=(),
-                    chosen_label=None,
-                    weight=1.0,
-                    entropy=0.0,
-                    post_state_fingerprint=fingerprint(state.density),
-                )
+            node = _expand(model, state, t, weight_eps, engine)
+            if node.event is None:
+                taken = {0: runs}
+            else:
+                born, last = _born_cdf(node.weights, weight_eps)
+                taken: dict[int, list[int]] = {}
                 for r in runs:
-                    steps[r].append(step)
-                below.append((state, runs))
-                continue
-            born, last = _born_cdf(det.weights, weight_eps)
-            branches: dict[int, list[int]] = {}
-            for r in runs:
-                k = int(inverse_cdf(born, float(rngs[r].random()), last))
-                branches.setdefault(k, []).append(r)
-            entropy = missing_information(det.weights)
-            for k, taken in branches.items():
-                child = collapse(state, det.event.projections[k], weight_eps)
+                    k = int(inverse_cdf(born, float(rngs[r].random()), last))
+                    taken.setdefault(k, []).append(r)
+            for k, rs in taken.items():
+                child = node.child(k)
+                label, weight = node.branches[k]
                 step = HistoryStep(
                     t=t,
-                    event=det.event,
-                    weights=det.weights,
-                    chosen_label=det.event.labels[k],
-                    weight=det.weights[k],
-                    entropy=entropy,
+                    event=node.event,
+                    weights=node.weights,
+                    chosen_label=label,
+                    weight=weight,
+                    entropy=node.entropy,
                     post_state_fingerprint=fingerprint(child.density),
                 )
-                for r in taken:
+                for r in rs:
                     steps[r].append(step)
-                below.append((child, taken))
+                below.append((child, rs))
         level = below
     final = [None] * len(seeds)
     for state, runs in level:
@@ -275,61 +293,38 @@ def enumerate_tree(
     engine: str = "reduced",
     max_nodes: int = 100_000,
 ) -> HistoryTree:
-    """Depth-first expansion of every branch with weight above ``prune_eps``.
+    """Every branch with weight above ``prune_eps``, expanded one depth at a
+    time.
 
     Each node's event family is recomputed from that node's collapsed state;
-    pruned probability mass is tracked, never silently dropped.
+    pruned probability mass is tracked, never silently dropped.  A step
+    without an actual event has one child, which is never pruned.
     """
     horizon = model.horizon if horizon is None else horizon
     if horizon > model.horizon:
         raise OutOfRange("horizon exceeds the model horizon")
     if prune_eps is None:
         prune_eps = weight_eps
-    count = 0
+    root = TreeNode(t=0, state=model.initial_state, path_weight=1.0)
+    count = 1
     pruned = 0.0
-
-    def expand(node: TreeNode):
-        nonlocal count, pruned
-        if node.t >= horizon:
-            return
-        det = _detect(model, node.state, node.t + 1, weight_eps, engine)
-        if det.actual:
-            node.event = det.event
-            node.weights = det.weights
-            node.entropy = missing_information(det.weights)
-            for k, label in enumerate(det.event.labels):
-                w = det.weights[k]
-                if w <= prune_eps:
-                    pruned += node.path_weight * max(w, 0.0)
+    level = [root]
+    for t in range(1, horizon + 1):
+        below = []
+        for parent in level:
+            node = _expand(model, parent.state, t, weight_eps, engine)
+            parent.event, parent.weights, parent.entropy = node.event, node.weights, node.entropy
+            for k, (label, w) in enumerate(node.branches):
+                if node.event is not None and w <= prune_eps:
+                    pruned += parent.path_weight * max(w, 0.0)
                     continue
-                child = TreeNode(
-                    t=node.t + 1,
-                    state=collapse(node.state, det.event.projections[k], weight_eps),
-                    path_weight=node.path_weight * w,
-                )
-                node.children[label] = child
+                child = TreeNode(t=t, state=node.child(k), path_weight=parent.path_weight * w)
+                parent.children[label] = child
+                below.append(child)
                 count += 1
                 if count > max_nodes:
                     raise TreeTooLarge(f"tree exceeded {max_nodes} nodes")
-                expand(child)
-        else:
-            child = TreeNode(
-                t=node.t + 1, state=node.state, path_weight=node.path_weight
-            )
-            node.children[None] = child
-            count += 1
-            if count > max_nodes:
-                raise TreeTooLarge(f"tree exceeded {max_nodes} nodes")
-            expand(child)
-
-    root = TreeNode(t=0, state=model.initial_state, path_weight=1.0)
-    count = 1
-    try:
-        expand(root)
-    finally:
-        # expand refers to itself through its closure; clearing the name
-        # breaks that cycle so the model is freed without a gc pass
-        del expand
+        level = below
     return HistoryTree(root, horizon, prune_eps, pruned, count)
 
 
@@ -434,15 +429,14 @@ def relative_entropy_vs_reversed(root: State, tree: HistoryTree, n: int) -> floa
     depth = len(paths[0]) if paths else 0
     if n > depth:
         raise DepthExceeded(f"tree has depth {depth}, requested {n}")
-    floor = 1e-15
     total = 0.0
     for labels, path in _unique_prefixes(paths, n).items():
         projs = [s[2] for s in path]
         mu = history_measure(root, projs)
-        if mu <= floor:
+        if mu <= MEASURE_FLOOR:
             continue
         opp = reversed_measure(root, projs)
-        if opp <= floor:
+        if opp <= MEASURE_FLOOR:
             return math.inf
         total += mu * (math.log(mu) - math.log(opp))
     return total

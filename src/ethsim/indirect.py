@@ -34,7 +34,8 @@ from .errors import (
     SeparationFailure,
     ValidationError,
 )
-from .chain import ChainModel, embed_system_probe, ground_density
+from .chain import ChainModel, ground_density
+from .histories import _expand
 from .linalg import (
     CERTAIN_TOL,
     DEFAULT_TOL,
@@ -689,40 +690,32 @@ def run_protocol(
 ) -> MeasurementProtocol:
     """Repeated projective recording along a chain model.
 
-    Per step: detect the event on the shrinking future algebra; on a branch,
-    collapse with Born probability.  The recorded value is the pointer of the
-    step's probe read after its interaction, i.e. sampled from the collapsed
-    state's distribution over U(j,0)* Q_eta U(j,0).  Steps with no sector
-    structure record the null outcome 0.
+    Per step: expand the node as the history walkers do (``histories._expand``);
+    on an actual event, draw ``u * total`` on the unnormalised Born weights
+    and collapse onto that branch.  The recorded value is the pointer of the
+    step's probe read after its interaction: sampled from the distribution of
+    ``quantity`` in the system x probe j reduction of U(j,0) Omega U(j,0)*.
+    Steps whose event has one sector, the whole space, record the null
+    outcome 0 and draw nothing.
     """
     if n > model.horizon:
         raise OutOfRange("protocol length exceeds the model horizon")
     rng = np.random.default_rng(seed)
+    s, p, big_t = model.s, model.p, model.horizon
     state = model.initial_state
     values = []
     for j in range(1, n + 1):
-        det = model.detect_event_reduced(state, j, weight_eps)
-        masked, total, last = positive_weights(det.weights, weight_eps)
-        positive = np.count_nonzero(masked)
-        trivial = positive == 1 and (
-            np.abs(det.event.projections[last] - np.eye(model.dim)).max() < DEFAULT_TOL
-        )
-        if trivial:
+        node = _expand(model, state, j, weight_eps, "reduced")
+        if len(node.detection.weights) == 1:
             values.append(0)
             continue
-        if positive >= 2:
-            chosen = int(inverse_cdf(masked, rng.random() * total, last))
-            pi = det.event.projections[chosen]
-            rho = pi @ state.density @ pi / det.weights[chosen]
-            state = State((rho + dagger(rho)) / 2.0)
-        # single proper positive branch: collapse is the identity on the state
-        c = model.propagator(j, 0)
-        dist = []
-        for q in quantity.projections:
-            emb = embed_system_probe(q, j, model.s, model.p, model.horizon)
-            heis = c.conj().T @ emb @ c
-            dist.append(float(state.expect(heis).real))
-        dist = np.clip(np.array(dist), 0.0, None)
+        if node.event is not None:
+            masked, total, last = positive_weights(node.weights, weight_eps)
+            state = node.child(int(inverse_cdf(masked, rng.random() * total, last)))
+        rho = partial_trace(
+            model.rotated_density(state, j), [s, p ** (j - 1), p, p ** (big_t - j)], keep=[0, 2]
+        )
+        dist = np.array([np.trace(rho @ q).real for q in quantity.projections]).clip(0.0, None)
         dist /= dist.sum()
         values.append(int(inverse_cdf(dist, rng.random(), len(dist) - 1)))
     return MeasurementProtocol(tuple(values), tuple(range(1, n + 1)), seed)

@@ -45,6 +45,13 @@ TIE_TOL = 1e-12
 # a collapse whose weight is within CERTAIN_TOL of one is no event along a
 # weak-measurement trajectory
 CERTAIN_TOL = 1e-12
+# missing_information rejects a Born weight below -NEGATIVE_WEIGHT_TOL, or
+# weights summing past 1 + WEIGHT_SUM_TOL
+NEGATIVE_WEIGHT_TOL = 1e-12
+WEIGHT_SUM_TOL = 1e-9
+# path-measure values at or below MEASURE_FLOOR count as zero in the relative
+# entropy against the reversed measure
+MEASURE_FLOOR = 1e-15
 
 
 def freeze(m: np.ndarray) -> np.ndarray:

@@ -274,7 +274,6 @@ def detect_event(
     future_algebra: StarAlgebra,
     t: int,
     weight_eps: float = WEIGHT_EPS,
-    rng_seed: int = 0,
 ) -> EventDetection:
     """Find the event that starts to happen at time ``t``, if any.
 
@@ -287,7 +286,7 @@ def detect_event(
         raise ValueError("weight_eps must lie in (0, 0.5)")
     centralizer = centralizer_of_state(omega, future_algebra)
     z = alg.center(centralizer)
-    projections = alg.minimal_projections_retry(z, rng_seed)
+    projections = alg.minimal_projections_retry(z)
     weights = [max(0.0, float(omega.expect(p).real)) for p in projections]
     family, ws = _order_event(list(projections), weights, t)
     positive = sum(1 for w in ws if w > weight_eps)

@@ -284,6 +284,32 @@ class TestEnumerateTree:
     def test_node_guard(self):
         with pytest.raises(TreeTooLarge):
             enumerate_tree(pswap_model(), max_nodes=3)
+        count = enumerate_tree(pswap_model()).node_count
+        assert enumerate_tree(pswap_model(), max_nodes=count).node_count == count
+        with pytest.raises(TreeTooLarge):
+            enumerate_tree(pswap_model(), max_nodes=count - 1)
+
+    @pytest.mark.parametrize("make", [pswap_model, haar_model])
+    def test_each_node_detected_and_each_kept_branch_collapsed_once(self, make, monkeypatch):
+        model = make()
+        detected, collapsed = [], []
+        detect, fold = hist._detect, hist.collapse
+
+        def counting_detect(*args, **kwargs):
+            detected.append(1)
+            return detect(*args, **kwargs)
+
+        def counting_collapse(*args, **kwargs):
+            collapsed.append(1)
+            return fold(*args, **kwargs)
+
+        monkeypatch.setattr(hist, "_detect", counting_detect)
+        monkeypatch.setattr(hist, "collapse", counting_collapse)
+        tree = enumerate_tree(model)
+        inner = [n for d in range(model.horizon) for n in tree.nodes_at_depth(d)]
+        assert len(detected) == len(inner)
+        assert len(collapsed) == sum(len(n.children) for n in inner if n.event is not None)
+        assert len(collapsed) > 0
 
     def test_tree_engines_agree(self):
         model = pswap_model()

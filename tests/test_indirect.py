@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ethsim import indirect
-from ethsim.chain import ChainModel, build_gate, chain_initial_state
+from ethsim.chain import ChainModel, build_gate, chain_initial_state, embed_system_probe
 from ethsim.errors import (
     EmptyProtocol,
     NoEventError,
@@ -29,10 +29,10 @@ from ethsim.indirect import (
     _measurement_step,
     _ndm_runs,
 )
-from ethsim.linalg import CERTAIN_TOL, SIGMA_Z, dagger, partial_trace
+from ethsim.linalg import CERTAIN_TOL, DEFAULT_TOL, SIGMA_Z, WEIGHT_EPS, dagger, partial_trace
 from ethsim.recording import probe_pointer_quantity
-from ethsim.scenario import build_ndm, resolve_scenario
-from ethsim.states import State
+from ethsim.scenario import build_model, build_ndm, resolve_scenario
+from ethsim.states import State, inverse_cdf, positive_weights
 
 THETA = 0.6
 
@@ -280,6 +280,50 @@ class TestChainProtocol:
         m = self.make_model(horizon=2)
         with pytest.raises(OutOfRange):
             run_protocol(m, probe_pointer_quantity(2, 2), 5, seed=0)
+
+
+def reference_protocol(model, quantity, n, seed=0, weight_eps=WEIGHT_EPS):
+    """The per-run loop ``run_protocol`` ran before it shared the history
+    walkers' node step: collapse inline by the reduced route's weight, call a
+    step trivial when its one positive projection is the identity, and read
+    the pointer through a dense Heisenberg observable per projection."""
+    rng = np.random.default_rng(seed)
+    state = model.initial_state
+    values = []
+    for j in range(1, n + 1):
+        det = model.detect_event_reduced(state, j, weight_eps)
+        masked, total, last = positive_weights(det.weights, weight_eps)
+        positive = np.count_nonzero(masked)
+        trivial = positive == 1 and (
+            np.abs(det.event.projections[last] - np.eye(model.dim)).max() < DEFAULT_TOL
+        )
+        if trivial:
+            values.append(0)
+            continue
+        if positive >= 2:
+            chosen = int(inverse_cdf(masked, rng.random() * total, last))
+            pi = det.event.projections[chosen]
+            rho = pi @ state.density @ pi / det.weights[chosen]
+            state = State((rho + dagger(rho)) / 2.0)
+        c = model.propagator(j, 0)
+        dist = []
+        for q in quantity.projections:
+            emb = embed_system_probe(q, j, model.s, model.p, model.horizon)
+            heis = c.conj().T @ emb @ c
+            dist.append(float(state.expect(heis).real))
+        dist = np.clip(np.array(dist), 0.0, None)
+        dist /= dist.sum()
+        values.append(int(inverse_cdf(dist, rng.random(), len(dist) - 1)))
+    return MeasurementProtocol(tuple(values), tuple(range(1, n + 1)), seed)
+
+
+@pytest.mark.parametrize("name", ["cnot", "cnot_t3", "cnot_t4", "partial_swap"])
+def test_run_protocol_matches_reference_loop(name):
+    model = build_model(resolve_scenario(name))
+    quantity = probe_pointer_quantity(model.s, model.p)
+    for seed in range(200):
+        got = run_protocol(model, quantity, model.horizon, seed=seed)
+        assert got == reference_protocol(model, quantity, model.horizon, seed=seed), seed
 
 
 class TestWeakMeasurement:
