@@ -8,6 +8,7 @@ abelian algebras are computed numerically with SVD rank decisions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,17 +54,29 @@ def orthonormalize(mats, ambient_dim: int) -> np.ndarray:
     return vh[:rank].reshape(rank, ambient_dim, ambient_dim)
 
 
-def _null_columns(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the right null space of ``mat``.
+def _null_space(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """Orthonormal columns spanning the right null space of ``mat``, and the
+    smallest singular value kept above the rank cut (inf when none is kept).
 
-    Only ``vh`` is read, so ``U`` is never formed in full.  A wide input keeps
-    the full ``vh``: its null space lies in the rows beyond ``min(m, n)``.
+    Only ``vh`` is read, so ``U`` is never formed in full.  A tall input is
+    first reduced to the triangular factor of its QR decomposition, which has
+    the same singular values and null space at a fraction of the SVD's cost.
+    A wide input keeps the full ``vh``: its null space lies in the rows beyond
+    ``min(m, n)``.
     """
     if mat.shape[0] == 0:
-        return np.eye(mat.shape[1], dtype=np.complex128)
+        return np.eye(mat.shape[1], dtype=np.complex128), math.inf
+    if mat.shape[0] > mat.shape[1]:
+        mat = np.linalg.qr(mat, mode="r")
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     rank = int(np.sum(s > _svd_threshold(s)))
-    return vh[rank:].conj().T
+    kept = float(s[rank - 1]) if rank else math.inf
+    return vh[rank:].conj().T, kept
+
+
+def _null_columns(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the right null space of ``mat``."""
+    return _null_space(mat)[0]
 
 
 @dataclass(frozen=True)
@@ -87,15 +100,29 @@ class StarAlgebra:
         return np.stack([b.reshape(-1) for b in self.basis])
 
     @cached_property
+    def conj_stack(self) -> np.ndarray:
+        """Complex conjugate of ``stack``: its rows give HS coefficients."""
+        return self.stack.conj()
+
+    @cached_property
     def tensor(self) -> np.ndarray:
         """Basis as a (k, D, D) array."""
         d = self.ambient_dim
         return self.stack.reshape(self.dim, d, d)
 
+    @cached_property
+    def commutant(self) -> StarAlgebra:
+        """{X : [X, B] = 0 for every basis element B}, computed once.
+
+        The result is a new instance with its own cache, so a bicommutant is
+        always computed, never read back as this algebra.
+        """
+        return _commutant(self)
+
     def project(self, x: np.ndarray) -> np.ndarray:
         """HS-orthogonal projection of ``x`` onto the span."""
         v = np.asarray(x, dtype=np.complex128).reshape(-1)
-        coeffs = self.stack.conj() @ v
+        coeffs = self.conj_stack @ v
         return (self.stack.T @ coeffs).reshape(self.ambient_dim, self.ambient_dim)
 
 
@@ -122,7 +149,7 @@ def includes(outer: StarAlgebra, inner: StarAlgebra) -> bool:
     if outer.ambient_dim != inner.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
     x = inner.stack
-    residual = np.linalg.norm(x - (x @ outer.stack.conj().T) @ outer.stack, axis=1)
+    residual = np.linalg.norm(x - (x @ outer.conj_stack.T) @ outer.stack, axis=1)
     return bool(np.all(residual <= MEMBER_TOL * (1.0 + np.linalg.norm(x, axis=1))))
 
 
@@ -184,7 +211,12 @@ def _commutant_of_hermitian(h: np.ndarray) -> np.ndarray:
 
 
 def commutant(algebra: StarAlgebra) -> StarAlgebra:
-    """{X : [X, B] = 0 for every basis element B}.
+    """{X : [X, B] = 0 for every basis element B}, memoised on ``algebra``."""
+    return algebra.commutant
+
+
+def _commutant(algebra: StarAlgebra) -> StarAlgebra:
+    """{X : [X, B] = 0 for every basis element B}, computed afresh.
 
     The null space of the stacked commutator map is computed by sequential
     intersection: start from the commutant of one generic Hermitian element of
@@ -232,7 +264,7 @@ def intersect_spans(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
     d = a.ambient_dim
     if a.dim == 0 or b.dim == 0:
         return StarAlgebra(d, ())
-    m = b.stack.conj() @ a.stack.T
+    m = b.conj_stack @ a.stack.T
     _, s, vh = np.linalg.svd(m, full_matrices=False)
     keep = s >= 1.0 - COS_TOL
     vecs = vh[keep].conj() @ a.stack

@@ -186,6 +186,13 @@ def cmd_verify(scn: Scenario, args) -> int:
         ]
         assert list(rep.dims) == expect, f"dims {rep.dims} != {expect}"
         assert rep.all_ok, "inclusion or strictness failed"
+        # E(t+1)' within E(t) is the full matrix algebra of the probe emitted
+        # at t+1, whatever the gate
+        for step in rep.steps:
+            assert step.relative_commutant_dim == model.p**2, (
+                f"relative commutant dim {step.relative_commutant_dim} != "
+                f"{model.p**2} at t={step.t}"
+            )
 
     def detection_agreement():
         for t in range(1, model.horizon + 1):

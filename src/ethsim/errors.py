@@ -25,6 +25,10 @@ class NonConvergence(EthsimError):
     """An iterative closure failed to stabilize within its round cap."""
 
 
+class ClosureFailure(EthsimError):
+    """A computed centralizer is not closed under products: its rank cut is near-degenerate."""
+
+
 class ZeroProbability(EthsimError):
     pass
 

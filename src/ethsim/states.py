@@ -19,10 +19,10 @@ import numpy as np
 from . import algebra as alg
 from .algebra import StarAlgebra, contains
 from .errors import (
+    ClosureFailure,
     DegenerateWeightWarning,
     DimensionMismatch,
     NotMember,
-    NonConvergence,
     TooManyProjections,
     ZeroProbability,
 )
@@ -163,26 +163,90 @@ def collapse(omega: State, projection: np.ndarray, weight_eps: float = COLLAPSE_
 
 
 def centralizer_of_state(omega: State, m: StarAlgebra) -> StarAlgebra:
-    """{Y in M : omega([Y, X]) = 0 for all X in M}.
+    """{Y in M : omega([Y, X]) = 0 for all X in M}, for a *-algebra ``m``.
 
     Computed as the null space of the map Y -> (tr([Omega, Y] B_i))_i over the
-    span of M.  The result is *-closed by construction; multiplicative closure
-    is verified rather than assumed, because for non-faithful states the null
-    space can in principle pick up non-algebra elements.  If closure fails the
-    subspace is shrunk to its largest multiplicatively closed part.
+    span of M.  For any state that null space is an algebra: if Y and Y'
+    centralize omega, so does YY', because omega([YY', X]) = omega([Y, Y'X])
+    + omega([Y', XY]).  Numerically the rank cut decides the subspace, so its
+    closure is certified (``_closure_bound``), else tested product by product;
+    a subspace that fails both raises ClosureFailure rather than being
+    shrunk.
     """
     if m.ambient_dim != omega.dim:
         raise DimensionMismatch("state and algebra dimensions differ")
-    basis = m.tensor
     rho = omega.density
+    error = _commutator_map_rounding(rho, m.dim)
+    return _closed_null_space(_commutator_map(rho, m), m, error)
+
+
+def _commutator_map(rho: np.ndarray, m: StarAlgebra) -> np.ndarray:
+    """T[i, a] = tr([Omega, B_a] B_i) = omega([B_a, B_i]) over m's basis."""
+    basis = m.tensor
     comms = rho @ basis - basis @ rho  # [Omega, B_a] stacked over a
-    # T[i, a] = tr([Omega, B_a] B_i)
-    t = np.einsum("amn,inm->ia", comms, basis)
-    cols = alg._null_columns(t)
-    vecs = np.tensordot(cols.T, basis, axes=(1, 0))
+    return np.einsum("amn,inm->ia", comms, basis)
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff of float64."""
+    nu = n * np.finfo(np.float64).eps / 2.0
+    return nu / (1.0 - nu)
+
+
+def _commutator_map_rounding(rho: np.ndarray, k: int) -> float:
+    """Bound on ||T_computed - T||_2 for the commutator map of the density
+    ``rho`` (d x d) over a k-dimensional HS-orthonormal basis.
+
+    Each [Omega, B_a] entry sums d complex products, twice, and one
+    subtraction: HS error <= (2 gamma_{d+2} + 2 gamma_1) ||Omega||_HS.  Each
+    T[i, a] sums d^2 products of that against B_i: error <= 2 gamma_{d^2+2}
+    ||Omega||_HS plus the propagated HS error (Cauchy-Schwarz with the unit
+    B_i).  The k^2 entries then bound the 2-norm by k times the largest.
+    """
+    d = rho.shape[0]
+    per_entry = 2.0 * (_gamma(d * d + 2) + _gamma(d + 2) + _gamma(1))
+    return k * per_entry * float(np.linalg.norm(rho))
+
+
+def _closure_bound(t: np.ndarray, cols: np.ndarray, kept: float, error: float) -> float:
+    """Bound on the HS distance from span(cols) to the product of any two
+    HS-unit elements of that span, for an exact commutator map within
+    ``error`` (2-norm) of ``t``.
+
+    With r = ||t cols||_2 + error, each unit Y in the span has
+    ||T y||_2 <= r, so the identity in ``centralizer_of_state`` (YY' and Y'X
+    lie in the algebra m) gives ||T (YY')||_2 <= 2r and ||t (YY')||_2 <=
+    2r + error.  The part of YY' inside span(cols) adds at most ||t cols||_2
+    to that, and the part outside lies in t's kept right singular space,
+    where t stretches by at least ``kept``: its norm is at most 3r / kept.
+    """
+    k_m, k = cols.shape
+    residual = float(np.linalg.norm(t @ cols))
+    # rounding in forming t @ cols: sums of k_m products of unit-scale entries
+    residual += _gamma(k_m + 2) * float(np.linalg.norm(t)) * np.sqrt(k)
+    return 3.0 * (residual + error) / kept
+
+
+def _closed_null_space(t: np.ndarray, m: StarAlgebra, error: float) -> StarAlgebra:
+    """The span in ``m`` of the null space of ``t``, checked to be closed
+    under products.  ``error`` bounds ||t - T||_2 for the exact map T."""
+    cols, kept = alg._null_space(t)
+    vecs = np.tensordot(cols.T, m.tensor, axes=(1, 0))
     sub = StarAlgebra(m.ambient_dim, tuple(freeze(v) for v in vecs))
-    closed = _largest_closed_subspace(sub)
-    return closed
+    _require_closed(sub, _closure_bound(t, cols, kept, error))
+    return sub
+
+
+def _require_closed(sub: StarAlgebra, bound: float) -> None:
+    """Accept ``sub`` when the certificate ``bound`` on its product residual
+    is within MEMBER_TOL, else when every product of basis elements stays in
+    the span; raise ClosureFailure otherwise."""
+    if bound <= MEMBER_TOL or _product_closed(sub):
+        return
+    raise ClosureFailure(
+        f"a {sub.dim}-dimensional centralizer is not closed under products "
+        f"(certificate bound {bound:.3g}): its rank cut is near-degenerate"
+    )
 
 
 def _product_closed(sub: StarAlgebra) -> bool:
@@ -195,39 +259,10 @@ def _product_closed(sub: StarAlgebra) -> bool:
     for start in range(0, k, chunk):
         left = basis[start : start + chunk]
         prods = (left[:, None] @ basis[None]).reshape(len(left) * k, -1)
-        proj = (sub.stack.conj() @ prods.T).T @ sub.stack
+        proj = (sub.conj_stack @ prods.T).T @ sub.stack
         if float(np.abs(prods - proj).max()) > MEMBER_TOL:
             return False
     return True
-
-
-def _largest_closed_subspace(sub: StarAlgebra, max_rounds: int = 16) -> StarAlgebra:
-    """Shrink a *-closed subspace to its largest multiplicatively closed part."""
-    current = sub
-    for _ in range(max_rounds):
-        if _product_closed(current):
-            return current
-        d = current.ambient_dim
-        basis = current.tensor
-        k = len(basis)
-        if k == 0:
-            return current
-        # Y stays iff Y*B and B*Y remain in the current span for every basis B.
-        rows = []
-        p_perp = np.eye(d * d, dtype=np.complex128) - current.stack.T @ current.stack.conj()
-        for b in basis:
-            left = np.kron(np.eye(d), b.T)  # vec(Y b)
-            right = np.kron(b, np.eye(d))  # vec(b Y)
-            rows.append(p_perp @ left @ current.stack.T)
-            rows.append(p_perp @ right @ current.stack.T)
-        m = np.concatenate(rows, axis=0)
-        cols = alg._null_columns(m)
-        if cols.shape[1] == k:
-            # no shrink but not closed: tolerance deadlock
-            raise NonConvergence("centralizer closure repair did not shrink")
-        vecs = np.tensordot(cols.T, basis, axes=(1, 0))
-        current = StarAlgebra(d, tuple(freeze(v) for v in vecs))
-    raise NonConvergence("centralizer closure repair exceeded its round cap")
 
 
 def center_of_centralizer(omega: State, m: StarAlgebra) -> StarAlgebra:

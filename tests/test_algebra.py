@@ -149,7 +149,7 @@ class TestCommutant:
             assert len(calls) < a.dim + 1  # one SVD per element without the skip
         for a in algebras[:2]:
             calls.clear()
-            commutant(a)
+            alg._commutant(a)  # the memoised commutant would call nothing
             assert calls == []
 
     def test_double_commutant(self):

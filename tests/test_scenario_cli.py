@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from ethsim import algebra as alg
 from ethsim.algebra import StarAlgebra
 from ethsim.chain import ChainModel
 from ethsim.cli import _ndm_csv, main
@@ -151,6 +152,46 @@ class TestCliCommands:
             out = capsys.readouterr().out
             assert out.count("PASS") == 8
             assert "FAIL" not in out
+
+    def test_verify_computes_each_commutant_once(self, monkeypatch, capsys):
+        # nesting_report and the double-commutant suite both need the
+        # commutant of E(T); the memo on the algebra computes it once, and
+        # the bicommutant is still computed rather than read back as E(T)
+        calls = []
+        real = alg._commutant
+
+        def counted(a):
+            c = real(a)
+            calls.append((a, c))  # holding both keeps their ids distinct
+            return c
+
+        monkeypatch.setattr(alg, "_commutant", counted)
+        assert main(["verify", "--scenario", "cnot_t3"]) == 0
+        capsys.readouterr()
+        inputs = [id(a) for a, _ in calls]
+        assert len(inputs) == len(set(inputs))
+        outputs = {id(c) for _, c in calls}
+        assert sum(id(a) in outputs for a, _ in calls) == 1
+
+    def test_verify_catches_a_broken_commutant(self, monkeypatch, capsys):
+        # a commutant one element short on the filtration algebras leaves
+        # the bicommutant test passing; the relative-commutant dimension
+        # of each nesting step does not
+        model = build_model(resolve_scenario("cnot"))
+        filtration_dims = {model.algebra_at(t).dim for t in range(model.horizon + 1)}
+        real = alg._commutant
+
+        def broken(a):
+            c = real(a)
+            if a.dim in filtration_dims:
+                return StarAlgebra(c.ambient_dim, c.basis[:-1])
+            return c
+
+        monkeypatch.setattr(alg, "_commutant", broken)
+        assert main(["verify", "--scenario", "cnot"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL filtration-nesting: relative commutant dim 3 != 4" in out
+        assert "PASS double-commutant" in out
 
     def test_verify_frees_its_model_without_gc(self, capsys):
         # Reference cycles would keep the model and its cached future

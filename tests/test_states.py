@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ethsim import algebra as alg
 from ethsim import states
 from ethsim.algebra import (
+    StarAlgebra,
     center,
     contains,
     from_span,
@@ -12,14 +18,17 @@ from ethsim.algebra import (
     span_equal,
 )
 from ethsim.errors import (
+    ClosureFailure,
     DegenerateWeightWarning,
     DimensionMismatch,
     NotMember,
     ZeroProbability,
 )
 from ethsim.linalg import (
+    MEMBER_TOL,
     SIGMA_X,
     SIGMA_Z,
+    SVD_TOL,
     embed_site_operator,
     operator_norm,
     random_density,
@@ -167,11 +176,12 @@ class TestCenterOfCentralizer:
                 assert contains(z_omega, b, 1e-8)
 
 
-class TestClosureRepair:
+class TestClosureCheck:
     @pytest.mark.parametrize("qubits", [2, 4])
-    def test_outer_sigma_x_span_shrinks_to_scalars(self, qubits):
+    def test_outer_sigma_x_span_is_flagged(self, qubits):
         # span{1, sx (x) 1.., ..1 (x) sx} is *-closed but holds neither
-        # product sx (x) .. (x) sx, so only the scalars survive the repair
+        # product sx (x) .. (x) sx; with no certificate the product test
+        # decides, and the subspace is flagged rather than shrunk
         dims = [2] * qubits
         d = 2**qubits
         sub = from_span(
@@ -184,9 +194,86 @@ class TestClosureRepair:
         )
         assert sub.dim == 3
         assert not states._product_closed(sub)
-        closed = states._largest_closed_subspace(sub)
-        assert closed.dim == 1
-        assert span_equal(closed, scalar_algebra(d))
+        with pytest.raises(ClosureFailure):
+            states._require_closed(sub, math.inf)
+
+    def test_direction_dropped_by_the_cut_is_flagged(self):
+        # omega([E01 + E10, .]) is nonzero, but with its singular value
+        # pushed under the cut it joins the diagonal centralizer; E00 times
+        # it leaves that span, the certificate cannot vouch for a cut moved
+        # by the whole singular value, and the product test flags it
+        omega = diag_state(0.2, 0.3, 0.5)
+        m = full_matrix_algebra(3)
+        t = states._commutator_map(omega.density, m)
+        v = np.zeros(9, dtype=complex)
+        v[[1, 3]] = 1.0 / np.sqrt(2.0)  # E01 and E10 in the matrix-unit basis
+        tv = t @ v
+        sigma = np.linalg.norm(tv)
+        threshold = SVD_TOL * (1.0 + np.linalg.norm(t, 2))
+        shift = (1.0 - 0.5 * threshold / sigma) * np.outer(tv, v.conj())
+        assert states._closed_null_space(t, m, 0.0).dim == 3
+        with pytest.raises(ClosureFailure):
+            states._closed_null_space(t - shift, m, np.linalg.norm(shift, 2))
+
+    @pytest.mark.parametrize("name", ["cnot", "cnot_t3", "partial_swap", "epr"])
+    def test_certificate_decides_every_bundled_centralizer(self, name, monkeypatch):
+        def unexpected(sub):
+            raise AssertionError("closure fell back to the product test")
+
+        monkeypatch.setattr(states, "_product_closed", unexpected)
+        model = build_model(resolve_scenario(name))
+        for t in range(model.horizon + 1):
+            detect_event(model.initial_state, model.algebra_at(t).algebra, t)
+
+
+def random_subfactor(rng, a, b):
+    """U (B(C^a) (x) 1_b) U* for a Haar-random unitary U: a *-algebra that is
+    not the full matrix algebra when b > 1."""
+    d = a * b
+    u = random_unitary(d, rng)
+    units = [
+        u @ np.kron(e, np.eye(b) / np.sqrt(b)) @ u.conj().T
+        for e in np.eye(a * a, dtype=complex).reshape(a * a, a, a)
+    ]
+    return from_span(units, d)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)]),
+    st.integers(1, 6),
+    st.sampled_from(["none", "kept", "dropped"]),
+    st.floats(0.25, 4.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_certificate_never_passes_an_open_span(shape, rank, which, factor, seed):
+    # Random states, rank-deficient ones included, on random algebras; then
+    # one singular value of T is moved to ``factor`` times the cut, from above
+    # (a kept one) or from below (a dropped one).  Whatever the cut keeps,
+    # a certificate within MEMBER_TOL must mean the span is product-closed.
+    rng = np.random.default_rng(seed)
+    m = random_subfactor(rng, *shape)
+    d = m.ambient_dim
+    rho = random_density(d, rng, rank=min(rank, d))
+    t = states._commutator_map(rho, m)
+    error = states._commutator_map_rounding(rho, m.dim)
+    if which != "none":
+        u, s, vh = np.linalg.svd(t)
+        threshold = SVD_TOL * (1.0 + s[0])
+        rank_t = int(np.sum(s > threshold))
+        pool = range(rank_t) if which == "kept" else range(rank_t, len(s))
+        assume(len(pool) > 0)
+        j = pool[int(rng.integers(len(pool)))]
+        moved = s.copy()
+        moved[j] = factor * threshold
+        perturbed = (u * moved) @ vh
+        error += np.linalg.norm(perturbed - t, 2)
+        t = perturbed
+    cols, kept = alg._null_space(t)
+    vecs = np.tensordot(cols.T, m.tensor, axes=(1, 0))
+    sub = StarAlgebra(d, tuple(vecs))
+    if states._closure_bound(t, cols, kept, error) <= MEMBER_TOL:
+        assert states._product_closed(sub)
 
 
 class TestIncoherenceResidual:
