@@ -6,7 +6,8 @@ before the clustering and Born-draw rules were merged into one function each,
 Frobenius norm, ``GOLDEN["ndm_noisy_seed7"]`` and ``TRACE_GOLDEN`` before the
 ``ndm`` CSV was written from shared string pieces, and ``GOLDEN["jumps_seed7"]``,
 ``GOLDEN["ndm_noisy_lone_run"]`` and ``WEAK_BATCH_GOLDEN`` before each run was
-walked through the state graph in Python scalars.  These changes altered how
+walked through the state graph in Python scalars, and ``SVG_GOLDEN`` before
+the ``ndm --svg`` frequency curve moved from the report into the CLI.  These changes altered how
 outputs are computed, not what they are, so these files must stay
 byte-identical.  The digests depend on the exact floating-point results of
 NumPy and its BLAS (CSVs and traces print weights and the purification metric
@@ -64,6 +65,27 @@ TRACE_GOLDEN = {
         "d146f4eaa65b5528d4e9a053cb5601b17daacdcd9e608c6cf57e87da4785f9e5",
     ),
 }
+
+
+# name -> (argv, digest of the --svg chart): run 0's running pointer frequencies
+SVG_GOLDEN = {
+    "ndm_noisy": (
+        ["ndm", "--scenario", "ndm_noisy", "--seed", "0", "--runs", "100", "--steps", "400"],
+        "85f0ef54947d54d36ddd2d58627818fa30f694b2145df06bc8344494eae8d917",
+    ),
+    "ndm": (
+        ["ndm", "--scenario", "ndm", "--seed", "5", "--runs", "200", "--steps", "25"],
+        "9c5a84d9e6dad6cc854e085a1ed8e10ebd0808f8ab955eb49b02f873f2ce8019",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SVG_GOLDEN))
+def test_cli_svg_charts_match_pinned_digests(name, tmp_path):
+    argv, svg_digest = SVG_GOLDEN[name]
+    svg = tmp_path / f"{name}.svg"
+    assert main(argv + ["--svg", str(svg)]) == 0
+    assert sha256(svg.read_bytes()) == svg_digest
 
 
 # (command, scenario) -> digests of the --out CSV, the --trace JSONL and
