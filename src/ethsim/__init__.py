@@ -25,7 +25,7 @@ from .algebra import (
     scalar_algebra,
     span_equal,
 )
-from .chain import ChainModel, FiltrationSnapshot, NestingReport, build_gate, chain_initial_state, system_density
+from .chain import ChainModel, NestingReport, build_gate, chain_initial_state, system_density
 from .errors import EthsimError
 from .histories import (
     EprReport,

@@ -34,6 +34,10 @@ from .linalg import (
 
 CLOSURE_ROUNDS = 64
 
+# minimal_projections_retry draws this many generic combinations, one seed
+# after another, before it gives up
+GENERIC_ATTEMPTS = 8
+
 # Internal seed for the generic elements used to accelerate commutant
 # computations.  Fixed so that results are reproducible across runs.
 _GENERIC_SEED = 0x5EED
@@ -85,7 +89,6 @@ class StarAlgebra:
 
     ambient_dim: int
     basis: tuple[np.ndarray, ...]
-    contains_unit: bool = True
 
     @property
     def dim(self) -> int:
@@ -329,18 +332,14 @@ def minimal_projections(algebra: StarAlgebra, rng_seed: int = 0) -> tuple[np.nda
     return tuple(_canonical_projection_order(eig.projections))
 
 
-def minimal_projections_retry(
-    algebra: StarAlgebra,
-    rng_seed: int = 0,
-    attempts: int = 8,
-) -> tuple[np.ndarray, ...]:
+def minimal_projections_retry(algebra: StarAlgebra, rng_seed: int = 0) -> tuple[np.ndarray, ...]:
     last: Exception | None = None
-    for k in range(attempts):
+    for k in range(GENERIC_ATTEMPTS):
         try:
             return minimal_projections(algebra, rng_seed + k)
         except GenericityFailure as exc:  # non-generic draw, try the next seed
             last = exc
-    raise GenericityFailure(f"no generic draw in {attempts} attempts: {last}")
+    raise GenericityFailure(f"no generic draw in {GENERIC_ATTEMPTS} attempts: {last}")
 
 
 def full_matrix_algebra(dim: int) -> StarAlgebra:

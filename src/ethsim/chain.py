@@ -66,6 +66,21 @@ def gate_identity(s: int, p: int) -> np.ndarray:
     return np.eye(s * p, dtype=np.complex128)
 
 
+def _controlled(control: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """kron(1 - control, 1_p) + kron(control, block): ``block`` on the probe
+    where the system projection ``control`` holds, the identity elsewhere."""
+    s, p = control.shape[0], block.shape[0]
+    return np.kron(np.eye(s) - control, np.eye(p)) + np.kron(control, block)
+
+
+def _basis_control(s: int, control_states) -> np.ndarray:
+    """Projection onto the system basis states ``control_states``; by default
+    every nonzero index."""
+    if control_states is None:
+        control_states = range(1, s)
+    return np.diag([1.0 if a in control_states else 0.0 for a in range(s)]).astype(np.complex128)
+
+
 def gate_cnot(s: int, p: int, control_states=None) -> np.ndarray:
     """Probe shift conditioned on the system basis state.
 
@@ -73,30 +88,13 @@ def gate_cnot(s: int, p: int, control_states=None) -> np.ndarray:
     by default every nonzero index does, so for s = 2 this is the textbook
     controlled-NOT with the system as control.
     """
-    if control_states is None:
-        control_states = list(range(1, s))
-    shift = _shift_matrix(p)
-    u = np.zeros((s * p, s * p), dtype=np.complex128)
-    for a in range(s):
-        block = shift if a in control_states else np.eye(p)
-        proj = np.zeros((s, s), dtype=np.complex128)
-        proj[a, a] = 1.0
-        u += np.kron(proj, block)
-    return u
+    return _controlled(_basis_control(s, control_states), _shift_matrix(p))
 
 
 def gate_cphase(s: int, p: int, phi: float = np.pi, control_states=None) -> np.ndarray:
     """Probe phase e^{i phi k} on level k, conditioned on the system state."""
-    if control_states is None:
-        control_states = list(range(1, s))
     phases = np.diag(np.exp(1j * phi * np.arange(p)))
-    u = np.zeros((s * p, s * p), dtype=np.complex128)
-    for a in range(s):
-        block = phases if a in control_states else np.eye(p)
-        proj = np.zeros((s, s), dtype=np.complex128)
-        proj[a, a] = 1.0
-        u += np.kron(proj, block)
-    return u
+    return _controlled(_basis_control(s, control_states), phases)
 
 
 def gate_partial_swap(s: int, p: int, theta: float = np.pi / 4) -> np.ndarray:
@@ -117,8 +115,7 @@ def gate_controlled_projection_flip(
     pi = np.asarray(control_projection, dtype=np.complex128)
     if pi.shape != (s, s):
         raise DimensionMismatch("control projection must act on the system factor")
-    shift = _shift_matrix(p)
-    return np.kron(np.eye(s) - pi, np.eye(p)) + np.kron(pi, shift)
+    return _controlled(pi, _shift_matrix(p))
 
 
 GATE_BUILDERS = {
@@ -182,16 +179,6 @@ def embed_future_block(block: np.ndarray, s: int, p: int, t: int, t_max: int) ->
 
 
 @dataclass(frozen=True)
-class FiltrationSnapshot:
-    t: int
-    algebra: StarAlgebra
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
-
-
-@dataclass(frozen=True)
 class NestingStep:
     t: int
     dim_before: int
@@ -245,20 +232,17 @@ class ChainModel:
                 raise DimensionMismatch(f"gate {k + 1} has shape {g.shape}")
             if not _norm_within(g @ g.conj().T - np.eye(g.shape[0]), DEFAULT_TOL):
                 raise ValidationError(f"gate {k + 1} is not unitary")
-        self.gates = tuple(freeze(g) for g in gates)
-        self.step_unitaries = tuple(
-            freeze(embed_system_probe(g, k + 1, self.s, self.p, horizon))
-            for k, g in enumerate(gates)
-        )
         if initial_state.dim != full_dim:
             raise DimensionMismatch("initial state dimension does not match the chain")
         self.initial_state = initial_state
-        # cumulative products C_t = U_t ... U_1, so U(t, t') = C_t C_t'^*
+        # cumulative products C_t = U_t ... U_1, so U(t, t') = C_t C_t'^*; each
+        # step unitary U_k is embedded only for its product
         cumulative = [np.eye(full_dim, dtype=np.complex128)]
-        for u in self.step_unitaries:
+        for k, g in enumerate(gates):
+            u = embed_system_probe(g, k + 1, self.s, self.p, horizon)
             cumulative.append(u @ cumulative[-1])
         self._cumulative = tuple(freeze(c) for c in cumulative)
-        self._algebra_cache: dict[int, FiltrationSnapshot] = {}
+        self._algebra_cache: dict[int, StarAlgebra] = {}
 
     @property
     def site_dims(self) -> list[int]:
@@ -271,8 +255,8 @@ class ChainModel:
                 raise OutOfRange(f"time {x} outside 0..{self.horizon}")
         return self._cumulative[t] @ self._cumulative[t_prime].conj().T
 
-    def algebra_at(self, t: int) -> FiltrationSnapshot:
-        """E(t) as a StarAlgebra with an explicitly conjugated product basis."""
+    def algebra_at(self, t: int) -> StarAlgebra:
+        """E(t) with an explicitly conjugated product basis, built once per t."""
         if not 0 <= t <= self.horizon:
             raise OutOfRange(f"time {t} outside 0..{self.horizon}")
         if t not in self._algebra_cache:
@@ -286,8 +270,7 @@ class ChainModel:
             raw = raw.reshape(s * s * fut * fut, self.dim, self.dim)
             c = self._cumulative[t]
             conj = c.conj().T @ raw @ c
-            algebra = StarAlgebra(self.dim, tuple(freeze(b) for b in conj))
-            self._algebra_cache[t] = FiltrationSnapshot(t, algebra)
+            self._algebra_cache[t] = StarAlgebra(self.dim, tuple(freeze(b) for b in conj))
         return self._algebra_cache[t]
 
     # -- reduced-state route ------------------------------------------------
@@ -341,10 +324,10 @@ class ChainModel:
 
     def nesting_report(self) -> NestingReport:
         """Inclusion, strictness and relative-commutant dimension per step."""
-        snaps = [self.algebra_at(t) for t in range(self.horizon + 1)]
+        algebras = [self.algebra_at(t) for t in range(self.horizon + 1)]
         steps = []
         for t in range(self.horizon):
-            outer, inner = snaps[t].algebra, snaps[t + 1].algebra
+            outer, inner = algebras[t], algebras[t + 1]
             rel = alg.relative_commutant(inner, outer)
             steps.append(
                 NestingStep(
@@ -356,7 +339,7 @@ class ChainModel:
                     relative_commutant_dim=rel.dim,
                 )
             )
-        return NestingReport(tuple(steps), tuple(s.dim for s in snaps))
+        return NestingReport(tuple(steps), tuple(a.dim for a in algebras))
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,7 @@ def cmd_tree(scn: Scenario, args) -> int:
 
 def cmd_verify(scn: Scenario, args) -> int:
     model = build_model(scn)
+    weight_eps = scn.thresholds.weight_eps
     failures = []
 
     def suite(name, fn):
@@ -196,11 +197,8 @@ def cmd_verify(scn: Scenario, args) -> int:
 
     def detection_agreement():
         for t in range(1, model.horizon + 1):
-            fast = model.detect_event_reduced(model.initial_state, t)
-            gen = detect_event(
-                model.initial_state, model.algebra_at(t).algebra, t,
-                weight_eps=scn.thresholds.weight_eps,
-            )
+            fast = model.detect_event_reduced(model.initial_state, t, weight_eps)
+            gen = detect_event(model.initial_state, model.algebra_at(t), t, weight_eps)
             assert fast.actual == gen.actual, f"actuality differs at t={t}"
             assert len(fast.weights) == len(gen.weights), f"branch count differs at t={t}"
             for wf, wg in zip(fast.weights, gen.weights):
@@ -226,7 +224,7 @@ def cmd_verify(scn: Scenario, args) -> int:
         x_raw = rng.standard_normal((model.dim, model.dim)) + 1j * rng.standard_normal(
             (model.dim, model.dim)
         )
-        x = model.algebra_at(model.horizon).algebra.project(x_raw)
+        x = model.algebra_at(model.horizon).project(x_raw)
         dev = hist.check_sum_rule(tree, model.initial_state, x)
         assert dev <= 1e-9, f"conditioned deviation {dev}"
 
@@ -236,12 +234,12 @@ def cmd_verify(scn: Scenario, args) -> int:
             assert s_n >= -1e-9, f"S_{n} = {s_n}"
 
     def double_commutant():
-        a = model.algebra_at(model.horizon).algebra
+        a = model.algebra_at(model.horizon)
         assert span_equal(commutant(commutant(a)), a), "bicommutant differs"
 
     def determinism():
-        h1 = hist.sample_history(model, seed=scn.seed)
-        h2 = hist.sample_history(model, seed=scn.seed)
+        h1 = hist.sample_history(model, seed=scn.seed, weight_eps=weight_eps)
+        h2 = hist.sample_history(model, seed=scn.seed, weight_eps=weight_eps)
         f1 = [s.post_state_fingerprint for s in h1.steps]
         f2 = [s.post_state_fingerprint for s in h2.steps]
         assert f1 == f2, "same seed produced different histories"
@@ -249,7 +247,7 @@ def cmd_verify(scn: Scenario, args) -> int:
     suite("filtration-nesting", filtration)
     suite("detection-agreement", detection_agreement)
     # one tree shared by the four suites below; none of them changes it
-    tree = hist.enumerate_tree(model, weight_eps=scn.thresholds.weight_eps)
+    tree = hist.enumerate_tree(model, weight_eps=weight_eps)
     suite("tree-total-probability", tree_probability)
     suite("path-measure-consistency", path_measure)
     suite("marginalization-sum-rule", sum_rule)
@@ -291,13 +289,14 @@ def cmd_ndm(scn: Scenario, args) -> int:
     print(f"classified_counts   = {report.classified_counts.tolist()}")
     print(f"empirical           = {np.round(report.empirical_distribution, 6).tolist()}")
     print(f"born_exact          = {np.round(report.born_exact, 6).tolist()}")
-    if args.svg and report.frequency_curves:
-        curve = report.frequency_curves[0]
-        _write_svg(
-            args.svg,
-            "pointer frequency convergence (run 0)",
-            {f"eta={k}": curve[:, k].tolist() for k in range(curve.shape[1])},
-        )
+    if args.svg:
+        # run 0's running pointer frequencies after each step
+        values = np.array(report.runs[0].protocol.values)
+        done = np.arange(1, len(values) + 1)
+        curves = {
+            f"eta={k}": (np.cumsum(values == k) / done).tolist() for k in range(ndm.quantity.size)
+        }
+        _write_svg(args.svg, "pointer frequency convergence (run 0)", curves)
     return 0
 
 

@@ -49,10 +49,6 @@ class DepthExceeded(EthsimError):
     pass
 
 
-class TooManyProjections(EthsimError):
-    pass
-
-
 class NotInFutureAlgebra(EthsimError):
     """A quantity's designated probe site has already been emitted."""
 

@@ -41,6 +41,7 @@ from .linalg import MEASURE_FLOOR, NEGATIVE_WEIGHT_TOL, SIGMA_X, SIGMA_Z, WEIGHT
 from .linalg import embed_site_operator, kron_all
 from .states import (
     EventDetection,
+    EventFamily,
     State,
     collapse,
     detect_event,
@@ -55,7 +56,7 @@ def _detect(model: ChainModel, state: State, t: int, weight_eps: float, engine: 
     if engine == "reduced":
         return model.detect_event_reduced(state, t, weight_eps)
     if engine == "generic":
-        return detect_event(state, model.algebra_at(t).algebra, t, weight_eps)
+        return detect_event(state, model.algebra_at(t), t, weight_eps)
     raise ValueError(f"unknown detection engine '{engine}'")
 
 
@@ -507,10 +508,8 @@ def epr_demo(theta_filter: float = 0.0, seed: int = 0, samples: int = 10_000) ->
     for pr in (plus, minus):
         emb = embed_site_operator(kron_all([pr, np.eye(2)]), 0, site_dims)
         branch_projs.append(c1.conj().T @ emb @ c1)
-    from .states import EventFamily  # local import to avoid cycle at module load
-
     family = EventFamily(tuple(branch_projs), ("t1:e0", "t1:e1"), time_index=1)
-    residual = incoherence_residual(init, model.algebra_at(1).algebra, family)
+    residual = incoherence_residual(init, model.algebra_at(1), family)
     weights = tuple(float(init.expect(pi).real) for pi in family.projections)
 
     cond_spin = []

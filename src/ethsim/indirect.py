@@ -21,7 +21,7 @@ pure, and it has no horizon cap.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -80,7 +80,11 @@ def frequencies(protocol: MeasurementProtocol, k: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class NdmScenario:
-    """Repeated indirect measurement of a conserved system quantity."""
+    """Repeated indirect measurement of a conserved system quantity.
+
+    Every probe starts in its ground level, as the chain's probes do; that
+    pure start is what makes one fresh probe per step the chain itself.
+    """
 
     system_dim: int
     probe_dim: int
@@ -90,8 +94,8 @@ class NdmScenario:
     initial_system: State
     runs: int = 100
     steps: int = 25
-    probe_density: np.ndarray | None = None
     weight_eps: float = WEIGHT_EPS
+    probe_density: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.runs < 1:
@@ -118,10 +122,7 @@ class NdmScenario:
             raise DimensionMismatch("quantity must live on the system x probe factor")
         object.__setattr__(self, "gate", freeze(gate))
         object.__setattr__(self, "conserved", freeze(a))
-        probe = self.probe_density
-        if probe is None:
-            probe = ground_density(p)
-        object.__setattr__(self, "probe_density", freeze(np.asarray(probe, complex)))
+        object.__setattr__(self, "probe_density", freeze(ground_density(p)))
 
     @property
     def sector_projections(self) -> tuple[np.ndarray, ...]:
@@ -324,10 +325,14 @@ def _measurement_step(
     )
 
 
-def purification_metric(state: State, conserved: np.ndarray, system_dim: int | None = None) -> float:
-    """1 - max_alpha tr(rho_S P_alpha); zero once one sector holds everything."""
+def purification_metric(state: State, conserved: np.ndarray) -> float:
+    """1 - max_alpha tr(rho_S P_alpha); zero once one sector holds everything.
+
+    A state on more than the system is first reduced to the system factor,
+    whose dimension is that of ``conserved``.
+    """
     a = np.asarray(conserved, dtype=np.complex128)
-    s = a.shape[0] if system_dim is None else system_dim
+    s = a.shape[0]
     rho = state.density
     if state.dim != s:
         if state.dim % s != 0:
@@ -354,7 +359,6 @@ class NdmReport:
     born_exact: np.ndarray  # Born weights of the sectors in the initial state
     runs: list[NdmRun]
     classified_counts: np.ndarray
-    frequency_curves: list[np.ndarray]  # running frequencies for sampled runs
 
     @property
     def empirical_distribution(self) -> np.ndarray:
@@ -636,16 +640,12 @@ def run_ndm_protocol(scn: NdmScenario, seed: int, steps: int | None = None) -> N
     return _ndm_run_list(scn, [seed], steps, p_exact)[0]
 
 
-def ndm_experiment(
-    scn: NdmScenario,
-    master_seed: int = 0,
-    curve_samples: int = 20,
-) -> NdmReport:
+def ndm_experiment(scn: NdmScenario, master_seed: int = 0) -> NdmReport:
     """Independent runs, classified against the exact sector distributions.
 
-    Reports per-run convergence curves (for the first ``curve_samples`` runs),
-    the empirical distribution of classified sectors, the exact Born weights
-    of the sectors for comparison, and per-run purification trajectories.
+    Reports the empirical distribution of classified sectors, the exact Born
+    weights of the sectors for comparison, and per-run purification
+    trajectories.
     All runs share one ``_ndm_runs`` call; run r is ``run_ndm_protocol`` with the
     r-th seed spawned from ``master_seed``.
     """
@@ -657,23 +657,14 @@ def ndm_experiment(
     seeds = np.random.SeedSequence(master_seed).generate_state(scn.runs)
     runs = _ndm_run_list(scn, [int(seed) for seed in seeds], scn.steps, p_exact)
     counts = np.zeros(len(sectors), dtype=np.int64)
-    curves = []
-    for r, run in enumerate(runs):
+    for run in runs:
         counts[run.classified] += 1
-        if r < curve_samples:
-            vals = np.array(run.protocol.values)
-            k = scn.quantity.size
-            running = np.zeros((len(vals), k))
-            for eta in range(k):
-                running[:, eta] = np.cumsum(vals == eta) / np.arange(1, len(vals) + 1)
-            curves.append(running)
     return NdmReport(
         scenario=scn,
         p_exact=p_exact,
         born_exact=born,
         runs=runs,
         classified_counts=counts,
-        frequency_curves=curves,
     )
 
 

@@ -46,9 +46,17 @@ TIE_TOL = 1e-12
 # weak-measurement trajectory
 CERTAIN_TOL = 1e-12
 # missing_information rejects a Born weight below -NEGATIVE_WEIGHT_TOL, or
-# weights summing past 1 + WEIGHT_SUM_TOL
+# weights summing past 1 + WEIGHT_SUM_TOL; born_weights rejects weights whose
+# sum is further than WEIGHT_SUM_TOL from one
 NEGATIVE_WEIGHT_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-9
+# born_weights rejects a weight outside [-WEIGHT_RANGE_TOL, 1 + WEIGHT_RANGE_TOL]
+WEIGHT_RANGE_TOL = 1e-10
+# nearest_projection_in_event takes q as a projection within NEAREST_INPUT_TOL
+# (is_projection), and its subset search keeps a sum only when it is closer
+# than the best so far by more than NEAREST_GAIN_TOL
+NEAREST_INPUT_TOL = 1e-8
+NEAREST_GAIN_TOL = 1e-15
 # path-measure values at or below MEASURE_FLOOR count as zero in the relative
 # entropy against the reversed measure
 MEASURE_FLOOR = 1e-15

@@ -100,16 +100,12 @@ def probe_pointer_quantity(system_dim: int, probe_dim: int, site: int = 1) -> Ph
     )
 
 
-def represent_at(
-    quantity: PhysicalQuantity,
-    model: ChainModel,
-    t: int,
-    verify_membership: bool = True,
-) -> list[np.ndarray]:
+def represent_at(quantity: PhysicalQuantity, model: ChainModel, t: int) -> list[np.ndarray]:
     """Heisenberg representation of the quantity inside E(t).
 
     Q_alpha(t) = U(t,0)* embed(Q_alpha) U(t,0); requires the designated probe
-    site to still lie in the future (site > t).
+    site to still lie in the future (site > t).  Each representation is
+    checked to lie in E(t).
     """
     if not 0 <= t <= model.horizon:
         raise OutOfRange(f"time {t} outside 0..{model.horizon}")
@@ -122,13 +118,10 @@ def represent_at(
     for q in quantity.projections:
         emb = embed_system_probe(q, quantity.site, model.s, model.p, model.horizon)
         reps.append(c.conj().T @ emb @ c)
-    if verify_membership:
-        future = model.algebra_at(t).algebra
-        for k, rep in enumerate(reps):
-            if not algebra_contains(future, rep):
-                raise NotInFutureAlgebra(
-                    f"representation of member {k} left the future algebra"
-                )
+    future = model.algebra_at(t)
+    for k, rep in enumerate(reps):
+        if not algebra_contains(future, rep):
+            raise NotInFutureAlgebra(f"representation of member {k} left the future algebra")
     return reps
 
 

@@ -42,7 +42,14 @@ _TOP_KEYS = {
     "jumps",
     "theta_filter",
 }
-_GATE_KEYS = {"name", "control_states", "phi", "theta", "readout_phi", "entries"}
+# the keys each gate takes besides "name" and "readout_phi"
+_GATE_KEYS = {
+    "identity": set(),
+    "cnot": {"control_states"},
+    "cphase": {"phi", "control_states"},
+    "partial_swap": {"theta"},
+    "explicit": {"entries"},
+}
 _THRESHOLD_KEYS = {"weight_eps"}
 _JUMPS_KEYS = {"drift_angle", "window"}
 _QUANTITY_KEYS = {"name", "site", "spectrum", "projections"}
@@ -77,6 +84,31 @@ def _reject_unknown(mapping: dict, allowed: set, where: str):
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _count(value, what: str) -> int:
+    if _integer(value, what) < 1:
+        raise ValidationError(f"{what} must be >= 1")
+    return value
+
+
+def _real(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _entries(mapping: dict, key: str, where: str) -> np.ndarray:
+    """The required complex matrix ``mapping[key]``."""
+    if key not in mapping:
+        raise ValidationError(f"{where} needs '{key}'")
+    return _parse_complex_matrix(mapping[key], where)
+
+
 def _parse_complex_matrix(entries, what: str) -> np.ndarray:
     try:
         arr = np.asarray(entries, dtype=float)
@@ -87,10 +119,6 @@ def _parse_complex_matrix(entries, what: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _emit_complex_matrix(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
-
-
 def parse_scenario_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ValidationError("scenario document must be a JSON object")
@@ -98,15 +126,7 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     for key in ("name", "system_dim", "probe_dim", "horizon", "gates"):
         if key not in doc:
             raise ValidationError(f"missing required key '{key}'")
-    s = int(doc["system_dim"])
-    p = int(doc["probe_dim"])
-    horizon = int(doc["horizon"])
-    if s < 1:
-        raise ValidationError("system_dim must be >= 1")
-    if p < 1:
-        raise ValidationError("probe_dim must be >= 1")
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
+    s, p, horizon = (_count(doc[key], key) for key in ("system_dim", "probe_dim", "horizon"))
     if s * p**horizon > DIMENSION_CAP:
         raise ValidationError(
             f"full dimension {s * p ** horizon} exceeds the cap {DIMENSION_CAP}"
@@ -116,14 +136,24 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     if not isinstance(raw_gates, list) or len(raw_gates) != horizon:
         raise ValidationError("gates must list one entry per step")
     for k, g in enumerate(raw_gates):
-        if not isinstance(g, dict) or "name" not in g:
+        if not isinstance(g, dict) or not isinstance(g.get("name"), str):
             raise ValidationError(f"gate {k + 1} must be an object with a 'name'")
-        _reject_unknown(g, _GATE_KEYS, f"gate {k + 1}")
+        if g["name"] not in _GATE_KEYS:
+            raise ValidationError(f"gate {k + 1}: unknown gate '{g['name']}'")
+        where = f"gate {k + 1} ({g['name']})"
+        _reject_unknown(g, {"name", "readout_phi"} | _GATE_KEYS[g["name"]], where)
+        _gate(g, s, p, where)  # every value is checked by building the gate once
         gates.append(dict(g))
     initial = doc.get("initial_state", "ground")
     if isinstance(initial, dict):
         _reject_unknown(initial, {"system_entries"}, "initial_state")
-        _parse_complex_matrix(initial["system_entries"], "initial_state")
+        rho = _entries(initial, "system_entries", "initial_state")
+        if rho.shape != (s, s):
+            raise ValidationError(f"initial_state must be {s}x{s}, got {rho.shape}")
+        try:
+            State(rho)
+        except ValueError as exc:
+            raise ValidationError(f"initial_state: {exc}") from exc
     elif not isinstance(initial, str):
         raise ValidationError("initial_state must be a name or explicit entries")
     quantity = doc.get("quantity", {"name": "probe_z", "site": 1})
@@ -131,17 +161,17 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     conserved = doc.get("conserved", "system_z")
     if isinstance(conserved, dict):
         _reject_unknown(conserved, {"entries"}, "conserved")
-        _parse_complex_matrix(conserved["entries"], "conserved")
+        _entries(conserved, "entries", "conserved")
     raw_thr = doc.get("thresholds", {})
     _reject_unknown(raw_thr, _THRESHOLD_KEYS, "thresholds")
+    thresholds = Thresholds(**{k: _real(v, k) for k, v in raw_thr.items()})
+    if not 0.0 < thresholds.weight_eps < 0.5:
+        raise ValidationError(f"weight_eps must lie in (0, 0.5), got {thresholds.weight_eps}")
     jumps = doc.get("jumps", {})
     _reject_unknown(jumps, _JUMPS_KEYS, "jumps")
-    runs = int(doc.get("runs", 100))
-    if runs < 1:
-        raise ValidationError("runs must be >= 1")
-    steps = int(doc["steps"]) if "steps" in doc else None
-    if steps is not None and steps < 1:
-        raise ValidationError("steps must be >= 1")
+    for key, number in (("drift_angle", _real), ("window", _integer)):
+        if key in jumps:
+            number(jumps[key], key)
     return Scenario(
         name=str(doc["name"]),
         system_dim=s,
@@ -151,12 +181,12 @@ def parse_scenario_dict(doc: dict) -> Scenario:
         initial_state=initial,
         quantity=dict(quantity),
         conserved=conserved,
-        thresholds=Thresholds(**{k: float(v) for k, v in raw_thr.items()}),
-        seed=int(doc.get("seed", 0)),
-        runs=runs,
-        steps=steps,
+        thresholds=thresholds,
+        seed=_integer(doc.get("seed", 0), "seed"),
+        runs=_count(doc.get("runs", 100), "runs"),
+        steps=_count(doc["steps"], "steps") if "steps" in doc else None,
         jumps=dict(jumps),
-        theta_filter=float(doc.get("theta_filter", 0.0)),
+        theta_filter=_real(doc.get("theta_filter", 0.0), "theta_filter"),
     )
 
 
@@ -203,6 +233,23 @@ def emit_scenario(scn: Scenario) -> dict:
 # builders
 
 
+def _gate(g: dict, s: int, p: int, where: str) -> np.ndarray:
+    """The unitary on system x probe of one gate entry of a scenario."""
+    params = {}
+    if g["name"] == "explicit":
+        params["entries"] = _entries(g, "entries", where)
+    for key, value in g.items():
+        if key == "control_states":
+            if not isinstance(value, list):
+                raise ValidationError(f"{where}: control_states must be a list")
+            params[key] = [_integer(a, f"{where}: a control state") for a in value]
+            if not all(0 <= a < s for a in params[key]):
+                raise ValidationError(f"{where}: control states must lie in 0..{s - 1}")
+        elif key not in ("name", "entries"):
+            params[key] = _real(value, f"{where}: {key}")
+    return build_gate(g["name"], s, p, params)
+
+
 def system_state_of(scn: Scenario) -> np.ndarray:
     if isinstance(scn.initial_state, str):
         return system_density(scn.initial_state, scn.system_dim)
@@ -238,28 +285,20 @@ def quantity_of(scn: Scenario) -> PhysicalQuantity:
 
 
 def build_model(scn: Scenario) -> ChainModel:
-    gates = []
-    for g in scn.gates:
-        params = {k: v for k, v in g.items() if k != "name"}
-        if "entries" in params:
-            params["entries"] = _parse_complex_matrix(
-                params["entries"], "explicit gate"
-            )
-        gates.append(build_gate(g["name"], scn.system_dim, scn.probe_dim, params))
+    gates = [
+        _gate(g, scn.system_dim, scn.probe_dim, f"gate {k + 1}")
+        for k, g in enumerate(scn.gates)
+    ]
     rho_s = system_state_of(scn)
     init = chain_initial_state(rho_s, scn.system_dim, scn.probe_dim, scn.horizon)
     return ChainModel(scn.system_dim, scn.probe_dim, scn.horizon, gates, init)
 
 
 def build_ndm(scn: Scenario, runs: int | None = None, steps: int | None = None) -> NdmScenario:
-    params = {k: v for k, v in scn.gates[0].items() if k != "name"}
-    if "entries" in params:
-        params["entries"] = _parse_complex_matrix(params["entries"], "explicit gate")
-    gate = build_gate(scn.gates[0]["name"], scn.system_dim, scn.probe_dim, params)
     return NdmScenario(
         system_dim=scn.system_dim,
         probe_dim=scn.probe_dim,
-        gate=gate,
+        gate=_gate(scn.gates[0], scn.system_dim, scn.probe_dim, "gate 1"),
         conserved=conserved_of(scn),
         quantity=quantity_of(scn),
         initial_system=State(system_state_of(scn)),

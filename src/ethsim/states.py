@@ -23,14 +23,17 @@ from .errors import (
     DegenerateWeightWarning,
     DimensionMismatch,
     NotMember,
-    TooManyProjections,
     ZeroProbability,
 )
 from .linalg import (
     COLLAPSE_EPS,
     MEMBER_TOL,
+    NEAREST_GAIN_TOL,
+    NEAREST_INPUT_TOL,
     STATE_TOL,
     WEIGHT_EPS,
+    WEIGHT_RANGE_TOL,
+    WEIGHT_SUM_TOL,
     _norm_within,
     dagger,
     freeze,
@@ -118,9 +121,9 @@ def born_weights(omega: State, event: EventFamily) -> list[float]:
         raise DimensionMismatch("event and state dimensions differ")
     weights = [float(omega.expect(p).real) for p in event.projections]
     for w in weights:
-        if w < -1e-10 or w > 1.0 + 1e-10:
+        if w < -WEIGHT_RANGE_TOL or w > 1.0 + WEIGHT_RANGE_TOL:
             raise ValueError(f"Born weight {w} outside [0, 1]")
-    if abs(sum(weights) - 1.0) > 1e-9:
+    if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"Born weights sum to {sum(weights)}")
     return weights
 
@@ -387,25 +390,17 @@ def dist_to_event_algebra(
     return operator_norm(x - eps)
 
 
-def nearest_projection_in_event(
-    q: np.ndarray,
-    event: EventFamily,
-    omega: State | None = None,
-    method: str = "auto",
-) -> tuple[np.ndarray, float]:
+def nearest_projection_in_event(q: np.ndarray, event: EventFamily) -> tuple[np.ndarray, float]:
     """Closest projection (operator norm) in the lattice of sums of branches.
 
     Exhaustive subset search up to 20 branches; beyond that a greedy rule
     includes each branch pi with ||pi q - pi|| < 1/2.
     """
     q = np.asarray(q, dtype=np.complex128)
-    if not is_projection(q, 1e-8):
+    if not is_projection(q, NEAREST_INPUT_TOL):
         raise ValueError("nearest_projection_in_event requires a projection")
     n = len(event.projections)
-    exhaustive = method in ("auto", "exhaustive") and n <= 20
-    if method == "exhaustive" and n > 20:
-        raise TooManyProjections(f"{n} projections exceed the exhaustive cap")
-    if exhaustive:
+    if n <= 20:
         d = event.dim
         best_p = np.zeros((d, d), dtype=np.complex128)
         best = operator_norm(q - best_p)
@@ -413,13 +408,11 @@ def nearest_projection_in_event(
             for subset in combinations(range(n), r):
                 p = sum(event.projections[i] for i in subset)
                 dist = operator_norm(q - p)
-                if dist < best - 1e-15:
+                if dist < best - NEAREST_GAIN_TOL:
                     best, best_p = dist, p
         return freeze(best_p), float(best)
-    if method in ("auto", "greedy"):
-        p = np.zeros((event.dim, event.dim), dtype=np.complex128)
-        for pi in event.projections:
-            if operator_norm(pi @ q - pi) < 0.5:
-                p = p + pi
-        return freeze(p), float(operator_norm(q - p))
-    raise TooManyProjections("exhaustive and greedy search both disabled")
+    p = np.zeros((event.dim, event.dim), dtype=np.complex128)
+    for pi in event.projections:
+        if operator_norm(pi @ q - pi) < 0.5:
+            p = p + pi
+    return freeze(p), float(operator_norm(q - p))

@@ -52,17 +52,15 @@ class TraceRecord:
     chosen_label: str | None
     entropy: float
     state_fingerprint: str
-    recorded_alpha: int | None = None
 
     def to_line(self) -> str:
-        rec = {
-            "t": self.t,
-            "event_labels": list(self.event_labels),
-            "weights": list(self.weights),
-            "chosen_label": self.chosen_label,
-            "entropy": self.entropy,
-        }
-        if self.recorded_alpha is not None:
-            rec["recorded_alpha"] = self.recorded_alpha
-        rec["state_fingerprint"] = self.state_fingerprint
-        return json_line(rec)
+        return json_line(
+            {
+                "t": self.t,
+                "event_labels": list(self.event_labels),
+                "weights": list(self.weights),
+                "chosen_label": self.chosen_label,
+                "entropy": self.entropy,
+                "state_fingerprint": self.state_fingerprint,
+            }
+        )

@@ -199,7 +199,7 @@ class TestCriterion5:
                 raw = rng.standard_normal((model.dim, model.dim)) + (
                     1j * rng.standard_normal((model.dim, model.dim))
                 )
-                x = model.algebra_at(model.horizon).algebra.project(raw)
+                x = model.algebra_at(model.horizon).project(raw)
                 assert check_sum_rule(tree, model.initial_state, x) <= 1e-9, name
                 for n in range(1, model.horizon + 1):
                     s_n = relative_entropy_vs_reversed(model.initial_state, tree, n)

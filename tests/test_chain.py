@@ -4,9 +4,9 @@ import pytest
 from ethsim.algebra import contains
 from ethsim.chain import (
     ChainModel,
-    FiltrationSnapshot,
     build_gate,
     chain_initial_state,
+    embed_system_probe,
     gate_cnot,
     gate_partial_swap,
     plus_density,
@@ -70,7 +70,7 @@ class TestChainModel:
     def test_step_unitaries_act_locally(self):
         m = cnot_model(horizon=3)
         # U_1 must commute with everything on probes 2 and 3
-        u1 = m.step_unitaries[0]
+        u1 = m.propagator(1, 0)
         for site in (2, 3):
             op = embed_site_operator(SIGMA_X, site, m.site_dims)
             assert operator_norm(u1 @ op - op @ u1) < 1e-9
@@ -79,9 +79,8 @@ class TestChainModel:
         m = cnot_model(horizon=3)
         assert operator_norm(m.propagator(0, 0) - np.eye(m.dim)) < 1e-12
         u20 = m.propagator(2, 0)
-        np.testing.assert_allclose(
-            u20, m.step_unitaries[1] @ m.step_unitaries[0], atol=1e-12
-        )
+        u1, u2 = (embed_system_probe(gate_cnot(2, 2), k, 2, 2, 3) for k in (1, 2))
+        np.testing.assert_allclose(u20, u2 @ u1, atol=1e-12)
         dev = operator_norm(
             m.propagator(3, 0) - m.propagator(3, 1) @ m.propagator(1, 0)
         )
@@ -102,21 +101,21 @@ class TestFiltration:
 
     def test_final_algebra_is_system_image(self):
         m = cnot_model(horizon=2)
-        snap = m.algebra_at(2)
-        assert snap.dim == 4
+        algebra = m.algebra_at(2)
+        assert algebra.dim == 4
         c = m.propagator(2, 0)
         for op in (SIGMA_X, SIGMA_Z):
             emb = embed_site_operator(op, 0, m.site_dims)
-            assert contains(snap.algebra, c.conj().T @ emb @ c, 1e-8)
+            assert contains(algebra, c.conj().T @ emb @ c, 1e-8)
 
     def test_trivial_dynamics_literal_product(self):
         g = build_gate("identity", 2, 2)
         init = chain_initial_state(np.eye(2, dtype=complex) / 2, 2, 2, 2)
         m = ChainModel(2, 2, 2, [g, g], init)
-        snap = m.algebra_at(1)
-        assert contains(snap.algebra, embed_site_operator(SIGMA_X, 0, [2, 2, 2]), 1e-9)
-        assert contains(snap.algebra, embed_site_operator(SIGMA_Z, 2, [2, 2, 2]), 1e-9)
-        assert not contains(snap.algebra, embed_site_operator(SIGMA_X, 1, [2, 2, 2]), 1e-6)
+        algebra = m.algebra_at(1)
+        assert contains(algebra, embed_site_operator(SIGMA_X, 0, [2, 2, 2]), 1e-9)
+        assert contains(algebra, embed_site_operator(SIGMA_Z, 2, [2, 2, 2]), 1e-9)
+        assert not contains(algebra, embed_site_operator(SIGMA_X, 1, [2, 2, 2]), 1e-6)
 
     def test_nesting_report(self):
         m = cnot_model(horizon=3)
@@ -127,9 +126,9 @@ class TestFiltration:
 
     def test_nesting_report_flags_a_missing_inclusion(self):
         m = cnot_model(horizon=3)
-        e1, e2 = m.algebra_at(1).algebra, m.algebra_at(2).algebra
-        m._algebra_cache[1] = FiltrationSnapshot(1, e2)
-        m._algebra_cache[2] = FiltrationSnapshot(2, e1)
+        e1, e2 = m.algebra_at(1), m.algebra_at(2)
+        m._algebra_cache[1] = e2
+        m._algebra_cache[2] = e1
         rep = m.nesting_report()
         assert [s.inclusion_ok for s in rep.steps] == [True, False, True]
         assert not all(contains(e2, b, 1e-8) for b in e1.basis)
@@ -144,16 +143,16 @@ class TestFiltration:
         )
         for t in range(3):
             c = m.propagator(t, 0)
-            conj = [c.conj().T @ b @ c for b in trivial.algebra_at(t).algebra.basis]
-            algebra = m.algebra_at(t).algebra
+            conj = [c.conj().T @ b @ c for b in trivial.algebra_at(t).basis]
+            algebra = m.algebra_at(t)
             for x in conj:
                 assert contains(algebra, x, 1e-8)
 
     def test_nested_future_algebra_inside_earlier(self):
         m = cnot_model(horizon=3)
         for t in range(3):
-            outer = m.algebra_at(t).algebra
-            inner = m.algebra_at(t + 1).algebra
+            outer = m.algebra_at(t)
+            inner = m.algebra_at(t + 1)
             for b in inner.basis:
                 assert contains(outer, b, 1e-8)
 
@@ -163,7 +162,7 @@ class TestReducedDetection:
         m = cnot_model(horizon=2)
         for t in (1, 2):
             fast = m.detect_event_reduced(m.initial_state, t)
-            gen = detect_event(m.initial_state, m.algebra_at(t).algebra, t)
+            gen = detect_event(m.initial_state, m.algebra_at(t), t)
             assert fast.actual == gen.actual
             assert fast.event.labels == gen.event.labels
             np.testing.assert_allclose(fast.weights, gen.weights, atol=1e-9)
@@ -176,7 +175,7 @@ class TestReducedDetection:
         m = ChainModel(2, 2, 2, [g, g], init)
         for t in (1, 2):
             fast = m.detect_event_reduced(m.initial_state, t)
-            gen = detect_event(m.initial_state, m.algebra_at(t).algebra, t)
+            gen = detect_event(m.initial_state, m.algebra_at(t), t)
             assert fast.actual == gen.actual
             np.testing.assert_allclose(fast.weights, gen.weights, atol=1e-9)
 

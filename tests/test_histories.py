@@ -362,7 +362,7 @@ class TestSumRule:
             raw = rng.standard_normal((model.dim, model.dim)) + 1j * rng.standard_normal(
                 (model.dim, model.dim)
             )
-            x = model.algebra_at(model.horizon).algebra.project(raw)
+            x = model.algebra_at(model.horizon).project(raw)
             assert check_sum_rule(tree, model.initial_state, x) <= 1e-9
 
     def test_kolmogorov_marginalization(self):
@@ -511,6 +511,6 @@ class TestEprDemo:
             projs.append(c1.conj().T @ emb @ c1)
         family = EventFamily(tuple(projs), ("t1:e0", "t1:e1"), 1)
         res = incoherence_residual(
-            model.initial_state, model.algebra_at(1).algebra, family
+            model.initial_state, model.algebra_at(1), family
         )
         assert res > 0.1  # far from an incoherent superposition

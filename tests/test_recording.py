@@ -91,7 +91,7 @@ class TestRepresentAt:
     def test_membership_in_future_algebra(self):
         m = self.make_model()
         q = probe_pointer_quantity(2, 2, site=2)
-        represent_at(q, m, 1, verify_membership=True)
+        represent_at(q, m, 1)
 
     def test_emitted_site_rejected(self):
         m = self.make_model()
@@ -271,5 +271,5 @@ class TestNearestProjectionLemma:
         delta = 1e-3
         q = rotated(list(det.event.projections), delta)
         for qa in q:
-            p, dist = nearest_projection_in_event(qa, det.event, omega)
+            p, dist = nearest_projection_in_event(qa, det.event)
             assert dist <= 16 * delta

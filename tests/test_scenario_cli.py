@@ -9,13 +9,15 @@ import pytest
 
 from ethsim import algebra as alg
 from ethsim.algebra import StarAlgebra
-from ethsim.chain import ChainModel
+from ethsim.chain import GATE_BUILDERS, ChainModel
 from ethsim.cli import _ndm_csv, main
 from ethsim.errors import ParseError, ValidationError
 from ethsim.indirect import MeasurementProtocol, NdmRun
 from ethsim.scenario import (
+    _GATE_KEYS,
     build_model,
     build_ndm,
+    bundled_scenario_path,
     emit_scenario,
     parse_scenario,
     parse_scenario_dict,
@@ -29,6 +31,33 @@ MINIMAL = {
     "horizon": 2,
     "gates": [{"name": "cnot"}, {"name": "cnot"}],
 }
+
+# (keys replacing those of MINIMAL, the start of the error message): each a
+# value that no run can take, rejected when the scenario is parsed
+MALFORMED = [
+    ({"gates": [{"name": "cnot", "theta": 0.3}] * 2}, "unknown keys in gate 1 (cnot): ['theta']"),
+    (
+        {"gates": [{"name": "partial_swap", "control_states": [1]}] * 2},
+        "unknown keys in gate 1 (partial_swap): ['control_states']",
+    ),
+    ({"gates": [{"name": "explicit"}] * 2}, "gate 1 (explicit) needs 'entries'"),
+    ({"gates": [{"name": "warp"}] * 2}, "gate 1: unknown gate 'warp'"),
+    ({"gates": [{"name": "cnot", "control_states": [2]}] * 2}, "gate 1 (cnot): control states"),
+    ({"gates": [{"name": "cphase", "phi": "pi"}] * 2}, "gate 1 (cphase): phi must be a number"),
+    ({"initial_state": {}}, "initial_state needs 'system_entries'"),
+    ({"initial_state": {"system_entries": [[[2.0, 0.0]]]}}, "initial_state must be 2x2"),
+    (
+        {"initial_state": {"system_entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}},
+        "initial_state: density trace",
+    ),
+    ({"conserved": {}}, "conserved needs 'entries'"),
+    ({"system_dim": "two"}, "system_dim must be an integer, got 'two'"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"thresholds": {"weight_eps": 0.7}}, "weight_eps must lie in (0, 0.5)"),
+    ({"thresholds": {"weight_eps": 0.0}}, "weight_eps must lie in (0, 0.5)"),
+    ({"thresholds": {"weight_eps": "small"}}, "weight_eps must be a number"),
+    ({"jumps": {"window": 2.5}}, "window must be an integer"),
+]
 
 
 class TestParsing:
@@ -71,6 +100,17 @@ class TestParsing:
         doc = dict(MINIMAL, gates=[{"name": "cnot", "speed": 3}, {"name": "cnot"}])
         with pytest.raises(ValidationError, match="unknown keys"):
             parse_scenario_dict(doc)
+
+    @pytest.mark.parametrize(
+        "change, message", MALFORMED, ids=[f"doc{i}" for i in range(len(MALFORMED))]
+    )
+    def test_malformed_values_rejected(self, change, message):
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario_dict(dict(MINIMAL, **change))
+        assert str(exc.value).startswith(message)
+
+    def test_each_named_gate_has_its_keys(self):
+        assert set(_GATE_KEYS) == set(GATE_BUILDERS) | {"explicit"}
 
     def test_parse_error_carries_line(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -214,6 +254,18 @@ class TestCliCommands:
             gc.enable()
         assert leaked == []
 
+    def test_verify_compares_both_routes_at_the_scenario_weight_eps(self, tmp_path, capsys):
+        # at weight_eps 0.4 the 0.32 branch of cnot's first event is not
+        # positive, so neither detection route may call that event actual
+        doc = json.loads(bundled_scenario_path("cnot").read_text())
+        doc["thresholds"] = {"weight_eps": 0.4}
+        path = tmp_path / "cnot_eps.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--scenario", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 8
+        assert out.endswith("verification OK\n")
+
     def test_verify_all_bundled(self):
         for name in ("commuting", "partial_swap"):
             assert main(["verify", "--scenario", name]) == 0
@@ -336,6 +388,17 @@ class TestCliCommands:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "change, message", MALFORMED, ids=[f"doc{i}" for i in range(len(MALFORMED))]
+    )
+    def test_malformed_scenario_files_rejected(self, change, message, tmp_path, capsys):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(dict(MINIMAL, **change)))
+        assert main(["simulate", "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: {message}")
         assert captured.out == ""
 
 

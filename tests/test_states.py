@@ -223,7 +223,7 @@ class TestClosureCheck:
         monkeypatch.setattr(states, "_product_closed", unexpected)
         model = build_model(resolve_scenario(name))
         for t in range(model.horizon + 1):
-            detect_event(model.initial_state, model.algebra_at(t).algebra, t)
+            detect_event(model.initial_state, model.algebra_at(t), t)
 
 
 def random_subfactor(rng, a, b):
@@ -298,7 +298,7 @@ class TestIncoherenceResidual:
             tuple(f"k{k}" for k in range(model.dim)),
         )
         for t in range(1, model.horizon + 1):
-            m = model.algebra_at(t).algebra
+            m = model.algebra_at(t)
             event = model.detect_event_reduced(omega, t).event
             for family in (event, tilted):
                 got = states.incoherence_residual(omega, m, family)
@@ -521,7 +521,7 @@ class TestNearestProjection:
         r = np.array([[c, -s], [s, c]], dtype=complex)
         q = r @ np.diag([1.0, 0.0]).astype(complex) @ r.conj().T
         fam = diag_family(2)
-        p, d = nearest_projection_in_event(q, fam, None)
+        p, d = nearest_projection_in_event(q, fam)
         np.testing.assert_allclose(p, np.diag([1.0, 0.0]), atol=1e-12)
         assert abs(d - np.sin(theta)) < 1e-10
 
