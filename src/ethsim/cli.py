@@ -100,6 +100,30 @@ def _write_svg(path, title, series: dict):
     _write_lines(path, lines)
 
 
+def _step_texts(step: hist.HistoryStep, trace: bool, csv_cells: bool):
+    """One history step's trace line and its CSV cells after the run index,
+    each None unless asked for."""
+    line = cells = None
+    if trace:
+        line = TraceRecord(
+            t=step.t,
+            event_labels=step.event.labels if step.event is not None else (),
+            weights=step.weights,
+            chosen_label=step.chosen_label,
+            entropy=step.entropy,
+            state_fingerprint=step.post_state_fingerprint,
+        ).to_line()
+    if csv_cells:
+        cells = [
+            step.t,
+            step.chosen_label or "",
+            f"{step.weight:.17g}",
+            f"{step.entropy:.17g}",
+            step.post_state_fingerprint,
+        ]
+    return line, cells
+
+
 def cmd_simulate(scn: Scenario, args) -> int:
     model = build_model(scn)
     runs = args.runs if args.runs is not None else 1
@@ -108,27 +132,18 @@ def cmd_simulate(scn: Scenario, args) -> int:
     histories = hist.sample_histories(
         model, [int(s) for s in seeds], weight_eps=scn.thresholds.weight_eps
     )
-    trace_lines = []
-    csv_rows = []
-    for r, h in enumerate(histories):
+    # every run that takes a branch shares its HistoryStep, so each distinct
+    # step is formatted once, keyed by identity, into the outputs asked for
+    memo = {}
+    for h in histories:
         for step in h.steps:
-            labels = step.event.labels if step.event is not None else ()
-            rec = TraceRecord(
-                t=step.t,
-                event_labels=tuple(labels),
-                weights=step.weights,
-                chosen_label=step.chosen_label,
-                entropy=step.entropy,
-                state_fingerprint=step.post_state_fingerprint,
-            )
-            trace_lines.append(rec.to_line())
-            csv_rows.append(
-                [r, step.t, step.chosen_label or "", f"{step.weight:.17g}", f"{step.entropy:.17g}", step.post_state_fingerprint]
-            )
+            if id(step) not in memo:
+                memo[id(step)] = _step_texts(step, bool(args.trace), bool(args.out))
     if args.trace:
-        _write_lines(args.trace, trace_lines)
+        _write_lines(args.trace, [memo[id(s)][0] for h in histories for s in h.steps])
     if args.out:
-        _write_csv(args.out, ["run", "t", "chosen_label", "weight", "entropy", "fingerprint"], csv_rows)
+        rows = [[r, *memo[id(s)][1]] for r, h in enumerate(histories) for s in h.steps]
+        _write_csv(args.out, ["run", "t", "chosen_label", "weight", "entropy", "fingerprint"], rows)
     events = sum(1 for h in histories for s in h.steps if s.event is not None)
     print(f"runs        = {runs}")
     print(f"event_steps = {events}")

@@ -64,8 +64,11 @@ def _born_cdf(weights, weight_eps: float):
     """A node's Born weights, normalised over those above ``weight_eps``
     (the rest zeroed), and the last index kept.
 
-    ``inverse_cdf(born, u, last)`` is then the branch a run with uniform
-    ``u`` takes; zero-weight branches are never chosen.
+    For the n runs that stand on the node, with their uniforms in ``u``,
+    ``inverse_cdf(np.broadcast_to(born, (n, born.size)), u, last)`` is then
+    every run's branch in one call: each broadcast row has the running sums
+    of the lone row, so run i takes the branch ``inverse_cdf(born, u[i],
+    last)`` would give it.  Zero-weight branches are never chosen.
     """
     masked, total, last = positive_weights(weights, weight_eps)
     return masked / total, last
@@ -170,8 +173,9 @@ def sample_histories(
     each distinct branch of it collapsed and fingerprinted once into a step
     that every run taking that branch shares.  Each run draws its uniforms
     from its own ``default_rng(seed)``, one per actual event, on the
-    normalised Born weights, as a lone run does.  Only the states of the
-    current depth are held.
+    normalised Born weights, as a lone run does; the branches of all the
+    runs on one node are then chosen by one ``inverse_cdf`` call.  Only the
+    states of the current depth are held.
     """
     horizon = model.horizon if horizon is None else horizon
     if horizon > model.horizon:
@@ -188,10 +192,13 @@ def sample_histories(
             if node.event is None:
                 taken = {0: runs}
             else:
+                # each run's uniform from its own stream, in run order, then
+                # every run's branch from one draw on the broadcast Born row
+                u = np.array([rngs[r].random() for r in runs])
                 born, last = _born_cdf(node.weights, weight_eps)
+                chosen = inverse_cdf(np.broadcast_to(born, (len(runs), born.size)), u, last)
                 taken: dict[int, list[int]] = {}
-                for r in runs:
-                    k = int(inverse_cdf(born, float(rngs[r].random()), last))
+                for r, k in zip(runs, chosen.tolist()):
                     taken.setdefault(k, []).append(r)
             for k, rs in taken.items():
                 child = node.child(k)

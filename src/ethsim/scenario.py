@@ -157,7 +157,8 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     elif not isinstance(initial, str):
         raise ValidationError("initial_state must be a name or explicit entries")
     quantity = doc.get("quantity", {"name": "probe_z", "site": 1})
-    _reject_unknown(quantity, _QUANTITY_KEYS, "quantity")
+    if _quantity_name(quantity) != "probe_z":
+        _quantity(quantity, s, p)  # checked by building it once, as the gates are
     conserved = doc.get("conserved", "system_z")
     if isinstance(conserved, dict):
         _reject_unknown(conserved, {"entries"}, "conserved")
@@ -268,20 +269,51 @@ def conserved_of(scn: Scenario) -> np.ndarray:
     return _parse_complex_matrix(scn.conserved["entries"], "conserved")
 
 
+def _quantity_name(q) -> str:
+    """The name of a ``quantity`` entry, once its keys and site are checked.
+
+    ``probe_z`` (the default name) takes only a ``site``; any other name
+    also needs its ``spectrum`` and ``projections``.
+    """
+    if not isinstance(q, dict):
+        raise ValidationError("quantity must be an object")
+    name = q.get("name", "probe_z")
+    if not isinstance(name, str):
+        raise ValidationError(f"quantity name must be a string, got {name!r}")
+    where = f"quantity ({name})"
+    if name == "probe_z":
+        _reject_unknown(q, {"name", "site"}, where)
+    else:
+        _reject_unknown(q, _QUANTITY_KEYS, where)
+        for key in ("projections", "spectrum"):
+            if key not in q:
+                raise ValidationError(f"{where} needs '{key}'")
+    _count(q.get("site", 1), f"{where}: site")
+    return name
+
+
+def _quantity(q: dict, s: int, p: int) -> PhysicalQuantity:
+    """The recorded quantity of a ``quantity`` entry, on system x probe."""
+    name = _quantity_name(q)
+    site = q.get("site", 1)
+    if name == "probe_z":
+        return probe_pointer_quantity(s, p, site)
+    where = f"quantity ({name})"
+    spectrum, projections = q["spectrum"], q["projections"]
+    if not isinstance(spectrum, list) or not isinstance(projections, list) or not projections:
+        raise ValidationError(f"{where}: spectrum and projections must be non-empty lists")
+    values = tuple(_real(v, f"{where}: a spectrum value") for v in spectrum)
+    matrices = tuple(_parse_complex_matrix(m, f"{where}: projection") for m in projections)
+    if any(m.shape != (s * p, s * p) for m in matrices):
+        raise ValidationError(f"{where}: projections must be {s * p}x{s * p}, on system x probe")
+    try:
+        return PhysicalQuantity(name=name, spectrum=values, projections=matrices, site=site)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
 def quantity_of(scn: Scenario) -> PhysicalQuantity:
-    q = scn.quantity
-    site = int(q.get("site", 1))
-    if q.get("name") == "probe_z" or "projections" not in q:
-        return probe_pointer_quantity(scn.system_dim, scn.probe_dim, site)
-    projections = [
-        _parse_complex_matrix(p, "quantity projection") for p in q["projections"]
-    ]
-    return PhysicalQuantity(
-        name=str(q.get("name", "custom")),
-        spectrum=tuple(float(v) for v in q["spectrum"]),
-        projections=tuple(projections),
-        site=site,
-    )
+    return _quantity(scn.quantity, scn.system_dim, scn.probe_dim)
 
 
 def build_model(scn: Scenario) -> ChainModel:

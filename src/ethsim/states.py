@@ -186,8 +186,10 @@ def centralizer_of_state(omega: State, m: StarAlgebra) -> StarAlgebra:
 def _commutator_map(rho: np.ndarray, m: StarAlgebra) -> np.ndarray:
     """T[i, a] = tr([Omega, B_a] B_i) = omega([B_a, B_i]) over m's basis."""
     basis = m.tensor
+    k, d = basis.shape[0], rho.shape[0]
     comms = rho @ basis - basis @ rho  # [Omega, B_a] stacked over a
-    return np.einsum("amn,inm->ia", comms, basis)
+    # sum over (m, n) of comms[a, m, n] B_i[n, m]: one matrix product
+    return basis.transpose(0, 2, 1).reshape(k, d * d) @ comms.reshape(k, d * d).T
 
 
 def _gamma(n: int) -> float:

@@ -23,6 +23,7 @@ import pytest
 from ethsim.cli import main
 from ethsim.indirect import weak_measurement_trajectories
 from ethsim.scenario import build_ndm, resolve_scenario
+from ethsim.trace import TraceRecord
 
 GOLDEN = {
     "ndm_noisy": (
@@ -288,3 +289,40 @@ def test_haar_chain_outputs_match_pinned_digests(command, tmp_path, capsys):
     assert sha256(capsys.readouterr().out.encode()) == stdout_digest
     assert sha256(out.read_bytes()) == csv_digest
     assert sha256(trace.read_bytes()) == trace_digest
+
+
+# simulate formats each distinct history step once, so an output asked for
+# alone must match the one written beside the other
+@pytest.mark.parametrize("flag", ["--trace", "--out"])
+@pytest.mark.parametrize("scenario", ["partial_swap", "haar"])
+def test_simulate_output_alone_matches_combined_digest(flag, scenario, tmp_path, capsys):
+    if scenario == "haar":
+        path = tmp_path / "haar_chain.json"
+        path.write_text(_haar_chain_text(HAAR_SEED))
+        csv_digest, trace_digest, stdout_digest = HAAR_GOLDEN["simulate"]
+        scenario = str(path)
+    else:
+        csv_digest, trace_digest, stdout_digest = CHAIN_GOLDEN["simulate", scenario]
+    written = tmp_path / "written"
+    argv = ["simulate", "--scenario", scenario, "--runs", "50", flag, str(written)]
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode()) == stdout_digest
+    expected = trace_digest if flag == "--trace" else csv_digest
+    assert sha256(written.read_bytes()) == expected
+
+
+def test_simulate_formats_each_distinct_step_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    to_line = TraceRecord.to_line
+
+    def counted(record):
+        calls.append(record)
+        return to_line(record)
+
+    monkeypatch.setattr(TraceRecord, "to_line", counted)
+    trace = tmp_path / "trace.jsonl"
+    assert main(["simulate", "--scenario", "cnot_t3", "--runs", "50", "--trace", str(trace)]) == 0
+    lines = trace.read_text().splitlines()
+    assert len(lines) == 150
+    assert len(set(lines)) == 6
+    assert len(calls) == 6

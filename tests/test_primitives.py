@@ -175,6 +175,21 @@ def test_stacked_draw_matches_rows(rows, rnd):
     assert stacked.tolist() == [int(inverse_cdf(w, x, n - 1)) for w, x in zip(weights, u)]
 
 
+@settings(max_examples=300, deadline=None)
+@given(weight_vectors, st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_broadcast_born_row_matches_scalar_draws(weights, uniforms):
+    """The node draw of sampled histories: one call on the normalised Born
+    row broadcast to one row per run picks each run's scalar branch."""
+    assume(any(w > WEIGHT_EPS for w in weights))
+    born, last = _born_cdf(weights, WEIGHT_EPS)
+    # every running sum exactly, one ulp either side, zero, and free uniforms
+    us = np.array(boundary_points(born.cumsum().tolist()) + uniforms)
+    batched = inverse_cdf(np.broadcast_to(born, (us.size, born.size)), us, last)
+    assert batched.tolist() == [int(inverse_cdf(born, u, last)) for u in us]
+    # a branch zeroed at or below WEIGHT_EPS is never chosen
+    assert all(weights[k] > WEIGHT_EPS for k in batched.tolist())
+
+
 # ---------------------------------------------------------------------------
 # the clustered eigendecomposition
 

@@ -21,6 +21,7 @@ from ethsim.scenario import (
     emit_scenario,
     parse_scenario,
     parse_scenario_dict,
+    quantity_of,
     resolve_scenario,
 )
 
@@ -31,6 +32,14 @@ MINIMAL = {
     "horizon": 2,
     "gates": [{"name": "cnot"}, {"name": "cnot"}],
 }
+
+
+def _real_pairs(diagonal):
+    return [[[float(v) if i == j else 0.0, 0.0] for j in range(len(diagonal))] for i, v in enumerate(diagonal)]
+
+
+# two projections on system x probe (d = 4) that partition unity
+HALVES = [_real_pairs([1, 1, 0, 0]), _real_pairs([0, 0, 1, 1])]
 
 # (keys replacing those of MINIMAL, the start of the error message): each a
 # value that no run can take, rejected when the scenario is parsed
@@ -57,6 +66,24 @@ MALFORMED = [
     ({"thresholds": {"weight_eps": 0.0}}, "weight_eps must lie in (0, 0.5)"),
     ({"thresholds": {"weight_eps": "small"}}, "weight_eps must be a number"),
     ({"jumps": {"window": 2.5}}, "window must be an integer"),
+    ({"quantity": {"name": "custom", "projections": HALVES}}, "quantity (custom) needs 'spectrum'"),
+    ({"quantity": {"name": "probe_z", "site": "one"}}, "quantity (probe_z): site must be an integer, got 'one'"),
+    ({"quantity": {"name": "probe_x", "site": 1}}, "quantity (probe_x) needs 'projections'"),
+    ({"quantity": {"name": "probe_z", "site": 0}}, "quantity (probe_z): site must be >= 1"),
+    ({"quantity": {"site": 1, "spectrum": [0, 1]}}, "unknown keys in quantity (probe_z): ['spectrum']"),
+    ({"quantity": "probe_z"}, "quantity must be an object"),
+    (
+        {"quantity": {"name": "custom", "spectrum": [0, 1, 2], "projections": HALVES}},
+        "quantity (custom): spectrum and projections must align",
+    ),
+    (
+        {"quantity": {"name": "custom", "spectrum": [0, 1], "projections": [_real_pairs([1, 0]), _real_pairs([0, 1])]}},
+        "quantity (custom): projections must be 4x4",
+    ),
+    (
+        {"quantity": {"name": "custom", "spectrum": [0, "one"], "projections": HALVES}},
+        "quantity (custom): a spectrum value must be a number",
+    ),
 ]
 
 
@@ -108,6 +135,13 @@ class TestParsing:
         with pytest.raises(ValidationError) as exc:
             parse_scenario_dict(dict(MINIMAL, **change))
         assert str(exc.value).startswith(message)
+
+    def test_custom_quantity_is_read_as_given(self):
+        doc = dict(MINIMAL, quantity={"name": "custom", "spectrum": [0, 2], "projections": HALVES, "site": 2})
+        q = quantity_of(parse_scenario_dict(doc))
+        assert (q.name, q.spectrum, q.site) == ("custom", (0.0, 2.0), 2)
+        np.testing.assert_array_equal(q.projections[0], np.diag([1, 1, 0, 0]))
+        assert quantity_of(parse_scenario_dict(dict(MINIMAL))).name == "probe_z"
 
     def test_each_named_gate_has_its_keys(self):
         assert set(_GATE_KEYS) == set(GATE_BUILDERS) | {"explicit"}
