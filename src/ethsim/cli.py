@@ -20,6 +20,7 @@ from . import histories as hist
 from . import indirect
 from .algebra import commutant, span_equal
 from .errors import EthsimError, ValidationError
+from .linalg import VERIFY_MEASURE_TOL, VERIFY_SUM_TOL, VERIFY_WEIGHT_TOL
 from .scenario import Scenario, build_model, build_ndm, resolve_scenario
 from .states import detect_event
 from .trace import TraceRecord, json_line
@@ -217,12 +218,12 @@ def cmd_verify(scn: Scenario, args) -> int:
             assert fast.actual == gen.actual, f"actuality differs at t={t}"
             assert len(fast.weights) == len(gen.weights), f"branch count differs at t={t}"
             for wf, wg in zip(fast.weights, gen.weights):
-                assert abs(wf - wg) < 1e-8, f"weights differ at t={t}"
-            assert gen.incoherence_residual <= 1e-8, "incoherent superposition violated"
+                assert abs(wf - wg) < VERIFY_WEIGHT_TOL, f"weights differ at t={t}"
+            assert gen.incoherence_residual <= VERIFY_WEIGHT_TOL, "incoherent superposition violated"
 
     def tree_probability():
         for d, total in enumerate(tree.depth_weights()):
-            assert abs(total - 1.0) <= 1e-9, f"depth {d} mass {total}"
+            assert abs(total - 1.0) <= VERIFY_SUM_TOL, f"depth {d} mass {total}"
 
     def path_measure():
         for path in tree.step_paths():
@@ -230,23 +231,23 @@ def cmd_verify(scn: Scenario, args) -> int:
             w = 1.0
             for s in path:
                 w *= s[3]
-            assert abs(mu - w) <= 1e-10, f"mu {mu} vs path weight {w}"
+            assert abs(mu - w) <= VERIFY_MEASURE_TOL, f"mu {mu} vs path weight {w}"
 
     def sum_rule():
         dev = hist.check_sum_rule(tree, model.initial_state)
-        assert dev <= 1e-9, f"deviation {dev}"
+        assert dev <= VERIFY_SUM_TOL, f"deviation {dev}"
         rng = np.random.default_rng(scn.seed)
         x_raw = rng.standard_normal((model.dim, model.dim)) + 1j * rng.standard_normal(
             (model.dim, model.dim)
         )
         x = model.algebra_at(model.horizon).project(x_raw)
         dev = hist.check_sum_rule(tree, model.initial_state, x)
-        assert dev <= 1e-9, f"conditioned deviation {dev}"
+        assert dev <= VERIFY_SUM_TOL, f"conditioned deviation {dev}"
 
     def entropies():
         for n in range(1, model.horizon + 1):
             s_n = hist.relative_entropy_vs_reversed(model.initial_state, tree, n)
-            assert s_n >= -1e-9, f"S_{n} = {s_n}"
+            assert s_n >= -VERIFY_SUM_TOL, f"S_{n} = {s_n}"
 
     def double_commutant():
         a = model.algebra_at(model.horizon)
@@ -386,10 +387,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        for flag in ("runs", "steps"):
+        for flag, least in (("runs", 1), ("steps", 1), ("seed", 0)):
             value = getattr(args, flag)
-            if value is not None and value < 1:
-                raise ValidationError(f"--{flag} must be >= 1, got {value}")
+            if value is not None and value < least:
+                raise ValidationError(f"--{flag} must be >= {least}, got {value}")
         scn = None
         if args.scenario:
             scn = resolve_scenario(args.scenario)

@@ -21,7 +21,7 @@ pure, and it has no horizon cap.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +43,7 @@ from .linalg import (
     TIE_TOL,
     WEIGHT_EPS,
     _norm_within,
+    cluster_slices,
     clustered_eigh,
     dagger,
     freeze,
@@ -139,8 +140,7 @@ class NdmScenario:
         k = self.quantity.size
         out = np.zeros((len(sectors), k))
         for a_idx, p_a in enumerate(sectors):
-            rho = p_a / np.trace(p_a).real
-            sigma = self.gate @ np.kron(rho, self.probe_density) @ dagger(self.gate)
+            sigma = _joint(p_a / np.trace(p_a).real, self)
             for e_idx, q in enumerate(self.quantity.projections):
                 out[a_idx, e_idx] = float(np.trace(sigma @ q).real)
         return out
@@ -165,129 +165,77 @@ NODES_PER_RUN = 4
 RECORD_BLOCK = 16
 
 
-def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of each matrix in the stack ``a`` (R, m, m) with ``b`` (n, n)."""
-    r, m, n = a.shape[0], a.shape[1], b.shape[0]
-    return (a[:, :, None, :, None] * b[None, None, :, None, :]).reshape(r, m * n, m * n)
+def _joint(rho: np.ndarray, scn: NdmScenario) -> np.ndarray:
+    """G (rho x probe) G*: the joint state after the system, in ``rho``,
+    interacts with a fresh probe."""
+    return scn.gate @ np.kron(rho, scn.probe_density) @ dagger(scn.gate)
 
 
 @dataclass
 class _Branches:
-    """Branch stage of one probe step for a stack of R system states.
+    """Branch stage of one probe step from one system state.
 
     The sectors are the clustered eigenspaces of the unconditional post-step
-    system state, in ascending eigenvalue order; ``labels`` gives each
-    eigenvector's sector, and sector slots past the last one weigh zero.
+    system state, in ascending eigenvalue order.
     """
 
-    sigma: np.ndarray  # (R, sp, sp) joint state G (rho x probe) G*
-    rho_post: np.ndarray  # (R, s, s) unconditional post-step system state
-    vecs: np.ndarray  # (R, s, s) eigenvectors of rho_post
-    labels: np.ndarray  # (R, s) sector of each eigenvector
-    positive: np.ndarray  # (R, s) weight above weight_eps
-    weights: np.ndarray  # (R, s) sector weights, zero where not positive
-    total: np.ndarray  # (R,) sum of the weights
-    last: np.ndarray  # (R,) last positive sector, where a draw past the total lands
-    fixed: np.ndarray  # (R,) first positive sector, taken when the row does not branch
-    branched: np.ndarray  # (R,) two or more positive sectors: a Born draw
-    trivial: np.ndarray  # (R,) one sector, the whole space: no event, no click
+    sigma: np.ndarray  # (sp, sp) joint state G (rho x probe) G*
+    rho_post: np.ndarray  # (s, s) unconditional post-step system state
+    blocks: list[np.ndarray]  # each sector's eigenvectors of rho_post, as columns
+    weights: np.ndarray  # sector weights, zero at or below weight_eps
+    total: float  # sum of the weights
+    last: int  # last positive sector, where a draw past the total lands
+    fixed: int  # first positive sector, taken when the step does not branch
+    branched: bool  # two or more positive sectors: a Born draw
+    trivial: bool  # one sector, the whole space: no event, no click
 
     @property
-    def draws(self) -> np.ndarray:
-        """Uniforms each run consumes: one per branch draw, one per pointer draw."""
-        return self.branched.astype(np.intp) + ~self.trivial
-
-    def take(self, rows: np.ndarray) -> _Branches:
-        """The rows ``rows`` of every field."""
-        return _Branches(*(getattr(self, f.name)[rows] for f in fields(self)))
-
-    def extend(self, more: _Branches) -> _Branches:
-        """These rows followed by those of ``more``."""
-        return _Branches(
-            *(np.concatenate([getattr(self, f.name), getattr(more, f.name)]) for f in fields(self))
-        )
+    def draws(self) -> int:
+        """Uniforms the step consumes: one per branch draw, one per pointer draw."""
+        return self.branched + (not self.trivial)
 
 
 def _branch_stage(rho: np.ndarray, scn: NdmScenario) -> _Branches:
     s, p = scn.system_dim, scn.probe_dim
-    sigma = scn.gate @ _kron_stack(rho, scn.probe_density) @ dagger(scn.gate)
+    sigma = _joint(rho, scn)
     rho_post = partial_trace(sigma, [s, p], keep=[0])
     vals, vecs, labels = clustered_eigh(rho_post)
-    # (R, sector, eigenvector).  Adding the other sectors' zeros is exact, so
-    # each weight sums its sector's eigenvalues in ascending order, as
-    # np.sum over the sector's slice does (sequentially, below 8 terms)
-    slots = np.arange(s)
-    members = labels[:, None, :] == slots[:, None]
-    weights = np.maximum(np.where(members, vals[:, None, :], 0.0).sum(axis=2), 0.0)
-    positive = (weights > scn.weight_eps) & (slots <= labels[:, -1:])
-    weights = np.where(positive, weights, 0.0)
+    # each sector's weight sums its eigenvalues in ascending order
+    weights, total, last = positive_weights(np.bincount(labels, weights=vals), scn.weight_eps)
+    kept = np.flatnonzero(weights)
+    blocks = [vecs[:, level] for level in cluster_slices(labels)]
     return _Branches(
         sigma=sigma,
         rho_post=rho_post,
-        vecs=vecs,
-        labels=labels,
-        positive=positive,
+        blocks=blocks,
         weights=weights,
-        total=weights.sum(axis=1),
-        last=s - 1 - positive[:, ::-1].argmax(axis=1),
-        fixed=positive.argmax(axis=1),
-        branched=positive.sum(axis=1) >= 2,
-        trivial=labels[:, -1] == 0,
+        total=float(total),
+        last=last,
+        fixed=int(kept[0]),
+        branched=len(kept) >= 2,
+        trivial=len(blocks) == 1,
     )
 
 
-def _sector_projection(vecs: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Projection onto each run's member eigenvectors, a contiguous column range.
+def _collapse_onto(br: _Branches, scn: NdmScenario, sector: int):
+    """Collapse the step onto ``sector``.
 
-    Runs sharing a range are stacked into one product with the same inner
-    dimension a lone run uses, so every projection keeps its bits.
-    """
-    first = members.argmax(axis=1)
-    size = members.sum(axis=1)
-    ranges = set(zip(first.tolist(), size.tolist()))
-    out = np.empty(vecs.shape, dtype=vecs.dtype)
-    for a, m in ranges:
-        runs = slice(None) if len(ranges) == 1 else np.flatnonzero((first == a) & (size == m))
-        block = vecs[runs, :, a : a + m]
-        out[runs] = block @ dagger(block)
-    return out
-
-
-def _collapse_onto(br: _Branches, scn: NdmScenario, sectors: np.ndarray):
-    """Collapse each row onto its sector in ``sectors``.
-
-    Returns the sectors' weights, the pointer distributions of the collapsed
-    joint states and the post-step system states.  A trivial row keeps its
+    Returns the sector's weight, the pointer distribution of the collapsed
+    joint state and the post-step system state.  A trivial step keeps its
     unconditional post-step state, with weight one, and clicks nothing: its
     pointer distribution is all on value 0.
     """
+    if br.trivial:
+        return 1.0, np.eye(scn.quantity.size)[0], br.rho_post
     s, p = scn.system_dim, scn.probe_dim
-    w = br.weights[np.arange(len(sectors)), sectors]
-    pi = _kron_stack(_sector_projection(br.vecs, br.labels == sectors[:, None]), np.eye(p))
-    sigma_branch = pi @ br.sigma @ pi / w[:, None, None]
+    w = br.weights[sector]
+    block = br.blocks[sector]
+    pi = np.kron(block @ dagger(block), np.eye(p))
+    sigma_branch = pi @ br.sigma @ pi / w
     q = np.asarray(scn.quantity.projections)
-    pointer = (sigma_branch[:, None] @ q[None]).trace(axis1=2, axis2=3).real.clip(0.0, None)
-    pointer /= pointer.sum(axis=1, keepdims=True)
-    new_rho = partial_trace(sigma_branch, [s, p], keep=[0])
-    trivial = br.trivial
-    return (
-        np.where(trivial, 1.0, w),
-        np.where(trivial[:, None], np.eye(pointer.shape[1])[0], pointer),
-        np.where(trivial[:, None, None], br.rho_post, new_rho),
-    )
-
-
-def _collapse_stage(br: _Branches, scn: NdmScenario, u: np.ndarray):
-    """Born-choose a sector, collapse onto it and sample the pointer.
-
-    ``u`` holds each run's uniforms, (R, 2): column 0 feeds the branch draw,
-    column 1 the pointer draw; entries a run does not draw are ignored.
-    Returns the pointer values, the chosen sectors' weights and the
-    post-step system states.  Part of the lone-step reference below.
-    """
-    born = inverse_cdf(br.weights, u[:, 0] * br.total, br.last)
-    weight, pointer, new_rho = _collapse_onto(br, scn, np.where(br.branched, born, br.fixed))
-    return inverse_cdf(pointer, u[:, 1], pointer.shape[1] - 1), weight, new_rho
+    pointer = np.trace(sigma_branch @ q, axis1=1, axis2=2).real.clip(0.0, None)
+    pointer /= pointer.sum()
+    return w, pointer, partial_trace(sigma_branch, [s, p], keep=[0])
 
 
 @dataclass
@@ -311,17 +259,17 @@ def _measurement_step(
     ``_ndm_runs`` equals a loop of these calls.  Nothing in the package
     calls it; it stays here because ``bench/spans.py`` patches it by name.
     """
-    br = _branch_stage(np.asarray(rho_s)[None], scn)
-    k = int(br.draws[0])
-    u = np.zeros((1, 2))
-    if k:
-        u[0, 2 - k :] = rng.random(k)
-    eta, weight, new_rho = _collapse_stage(br, scn, u)
+    br = _branch_stage(np.asarray(rho_s), scn)
+    sector = br.fixed
+    if br.branched:
+        sector = int(inverse_cdf(br.weights, rng.random() * br.total, br.last))
+    weight, pointer, new_rho = _collapse_onto(br, scn, sector)
+    eta = 0 if br.trivial else int(inverse_cdf(pointer, rng.random(), len(pointer) - 1))
     return StepOutcome(
-        eta=int(eta[0]),
-        branched=bool(br.branched[0]),
-        branch_weight=float(weight[0]),
-        new_system=new_rho[0],
+        eta=eta,
+        branched=br.branched,
+        branch_weight=float(weight),
+        new_system=new_rho,
     )
 
 
@@ -419,65 +367,69 @@ class _StateGraph:
     deterministic; only a run's uniforms are random.  So a node's branch
     stage runs once, when the node is added, and its collapse onto sector a
     once, the first time a run takes slot ``node * s + a``; every run on the
-    node shares them.  Nodes are keyed by the bytes of their state.
+    node shares them.  Nodes are keyed by the bytes of their state.  The
+    tables are Python lists, which the driver's walk reads directly.
     """
 
     def __init__(self, scn: NdmScenario, drift: np.ndarray | None):
-        s, k = scn.system_dim, scn.quantity.size
         self.scn = scn
         self.drift = drift  # rotates a node's state before its branch stage
         self.sectors = np.asarray(scn.sector_projections)
+        self.no_pointer = np.zeros(scn.quantity.size)  # stands in until a slot collapses
         self.ids: dict[bytes, int] = {}
         # per node
-        self.rho = np.empty((0, s, s), dtype=np.complex128)
-        self.br: _Branches | None = None  # branch stage rows
-        self.draws = np.empty(0, dtype=np.intp)  # uniforms a step from the node takes
-        self.purification = np.empty(0)  # 1 - max_alpha tr(rho P_alpha)
-        self.expectation = np.empty(0)  # tr(rho A)
+        self.rho: list[np.ndarray] = []
+        self.br: list[_Branches] = []  # branch stage
+        self.branched: list[bool] = []  # a step from the node makes a Born draw
+        self.fixed: list[int] = []  # the sector taken when it does not
+        self.last: list[int] = []  # where a branch draw past the total lands
+        self.total: list[float] = []  # sum of the sector weights
+        self.cum: list[list[float]] = []  # running sums of the sector weights
+        self.draws: list[int] = []  # uniforms a step from the node takes
+        self.purification: list[float] = []  # 1 - max_alpha tr(rho P_alpha)
+        self.expectation: list[float] = []  # tr(rho A)
         # per slot
-        self.pointer = np.empty((0, k))  # pointer distribution of the collapsed joint state
-        self.light = np.empty(0, dtype=bool)  # the sector weighs less than 1 - CERTAIN_TOL
-        self.child = np.empty(0, dtype=np.intp)  # the post-step state's node, -1 until collapsed
+        self.pointer: list[np.ndarray] = []  # pointer distribution of the collapsed joint state
+        self.light: list[bool] = []  # the sector weighs less than 1 - CERTAIN_TOL
+        self.child: list[int] = []  # the post-step state's node, -1 until collapsed
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def add(self, rhos: np.ndarray) -> np.ndarray:
-        """The node of each state in the stack ``rhos``, added where there is none."""
-        keys = [rho.tobytes() for rho in rhos]
-        new = []  # the first row of each state not seen before
-        for i, key in enumerate(keys):
-            if key not in self.ids:
-                self.ids[key] = len(self.ids)
-                new.append(i)
-        if new:
-            rows = rhos[new]
-            d = self.drift
-            br = _branch_stage(
-                rows if d is None else np.stack([d @ rho @ dagger(d) for rho in rows]), self.scn
-            )
-            in_sector = np.trace(rows[:, None] @ self.sectors[None], axis1=2, axis2=3).real
-            expectation = np.trace(rows @ self.scn.conserved, axis1=1, axis2=2).real
-            n = len(rows) * self.scn.system_dim
-            self.rho = np.concatenate([self.rho, rows])
-            self.br = br if self.br is None else self.br.extend(br)
-            self.draws = np.concatenate([self.draws, br.draws])
-            self.purification = np.concatenate([self.purification, 1.0 - in_sector.max(axis=1)])
-            self.expectation = np.concatenate([self.expectation, expectation])
-            self.pointer = np.concatenate([self.pointer, np.zeros((n, self.pointer.shape[1]))])
-            self.light = np.concatenate([self.light, np.zeros(n, dtype=bool)])
-            self.child = np.concatenate([self.child, np.full(n, -1, dtype=np.intp)])
-        return np.array([self.ids[key] for key in keys], dtype=np.intp)
-
-    def collapse(self, slots: np.ndarray) -> None:
-        """One stacked collapse for the slots in ``slots`` not collapsed yet."""
+    def add(self, rho: np.ndarray) -> int:
+        """The node of the state ``rho``, added if there is none."""
+        key = rho.tobytes()
+        node = self.ids.get(key)
+        if node is not None:
+            return node
+        node = self.ids[key] = len(self.ids)
+        d = self.drift
+        br = _branch_stage(rho if d is None else d @ rho @ dagger(d), self.scn)
+        in_sector = np.trace(rho @ self.sectors, axis1=1, axis2=2).real
         s = self.scn.system_dim
-        new = np.unique(slots[self.child[slots] < 0])
-        weight, pointer, rho = _collapse_onto(self.br.take(new // s), self.scn, new % s)
-        self.pointer[new] = pointer
-        self.light[new] = weight < 1.0 - CERTAIN_TOL
-        child = self.add(rho)
-        self.child[new] = child
+        self.rho.append(rho)
+        self.br.append(br)
+        self.branched.append(br.branched)
+        self.fixed.append(br.fixed)
+        self.last.append(br.last)
+        self.total.append(br.total)
+        self.cum.append(br.weights.cumsum().tolist())
+        self.draws.append(br.draws)
+        self.purification.append(1.0 - in_sector.max())
+        self.expectation.append(np.trace(rho @ self.scn.conserved).real)
+        self.pointer += [self.no_pointer] * s
+        self.light += [False] * s
+        self.child += [-1] * s
+        return node
+
+    def collapse(self, slots) -> None:
+        """Collapse each slot in ``slots`` once, in slot order; none is collapsed yet."""
+        s = self.scn.system_dim
+        for slot in sorted(set(slots)):
+            weight, pointer, rho = _collapse_onto(self.br[slot // s], self.scn, slot % s)
+            self.pointer[slot] = pointer
+            self.light[slot] = weight < 1.0 - CERTAIN_TOL
+            self.child[slot] = self.add(rho)
 
     def record(
         self,
@@ -496,25 +448,28 @@ class _StateGraph:
         gathered ``RECORD_BLOCK`` at a time, over the steps any of them
         walked; slot 0 stands in for the steps a run did not.
         """
-        s, k = self.scn.system_dim, self.pointer.shape[1]
+        s, k = self.scn.system_dim, self.scn.quantity.size
+        draws, branched = np.array(self.draws), np.array(self.branched)
+        purification, expectation = np.array(self.purification), np.array(self.expectation)
+        pointer, light, child = np.array(self.pointer), np.array(self.light), np.array(self.child)
         for b in range(0, len(first), RECORD_BLOCK):
             runs = slice(b, b + RECORD_BLOCK)
             lo, hi = first[runs].min(), stop[runs].max()
             steps = np.arange(lo, hi)
             walked = (first[runs, None] <= steps) & (steps < stop[runs, None])
             slots = np.where(walked, taken[runs, lo:hi], 0)
-            nodes, child = slots // s, self.child[slots]
-            draws = np.where(walked, self.draws[nodes], 0)
-            u = uniforms[mark[runs, None] + draws.cumsum(axis=1) - 1]
-            values = inverse_cdf(self.pointer[slots].reshape(-1, k), u.reshape(-1), k - 1)
+            nodes, children = slots // s, child[slots]
+            used = np.where(walked, draws[nodes], 0)
+            u = uniforms[mark[runs, None] + used.cumsum(axis=1) - 1]
+            values = inverse_cdf(pointer[slots].reshape(-1, k), u.reshape(-1), k - 1)
             for out, new in (
                 (rec.values, values.reshape(slots.shape)),
-                (rec.branched, self.br.branched[nodes]),
-                (rec.purification, self.purification[child]),
-                (rec.conserved_expectation, self.expectation[child]),
+                (rec.branched, branched[nodes]),
+                (rec.purification, purification[children]),
+                (rec.conserved_expectation, expectation[children]),
             ):
                 out[runs, lo:hi][walked] = new[walked]
-            rec.light[runs] |= (self.light[slots] & walked).any(axis=1)
+            rec.light[runs] |= (light[slots] & walked).any(axis=1)
 
 
 def _ndm_runs(
@@ -529,9 +484,9 @@ def _ndm_runs(
     Each round, every unfinished run walks on its own, in Python scalars read
     from the ``_StateGraph`` tables, until it finishes or takes a (node,
     sector) slot no run took before; the round's blocked slots are then
-    collapsed in one stacked call.  A node that does not branch has one next
-    slot, so a stretch of such nodes that comes back to a node repeats until
-    the run ends: the rest of the run is that cycle, tiled.
+    collapsed, each once.  A node that does not branch has one next slot, so
+    a stretch of such nodes that comes back to a node repeats until the run
+    ends: the rest of the run is that cycle, tiled.
 
     Run r draws its uniforms up front,
     ``default_rng(seeds[r]).random(2 * steps)`` (a step takes at most two),
@@ -547,7 +502,7 @@ def _ndm_runs(
     uniforms = np.concatenate([np.random.default_rng(seed).random(2 * steps) for seed in seeds])
     u = memoryview(uniforms)
     graph = _StateGraph(scn, drift)
-    at = graph.add(np.asarray(scn.initial_system.density)[None]).repeat(n_runs).tolist()
+    at = [graph.add(np.asarray(scn.initial_system.density))] * n_runs
     step = [0] * n_runs  # each run's next step
     cursor = list(range(0, 2 * steps * n_runs, 2 * steps))  # each run's next uniform
     first, mark = np.array(step), np.array(cursor)  # where each run stood when the graph began
@@ -561,10 +516,8 @@ def _ndm_runs(
     )
     live = list(range(n_runs))
     while live:
-        br = graph.br
-        tables = (br.branched, br.fixed, br.last, br.total, graph.draws, graph.child)
-        branched, fixed, last, total, draws, child = (t.tolist() for t in tables)
-        cum = br.weights.cumsum(axis=1).tolist()
+        branched, fixed, last, total = graph.branched, graph.fixed, graph.last, graph.total
+        cum, draws, child = graph.cum, graph.draws, graph.child
         blocked = []  # the slot each unfinished run waits on
         for r in live:
             j, node, c = step[r], at[r], cursor[r]
@@ -596,17 +549,15 @@ def _ndm_runs(
         live = [r for r in live if step[r] < steps]
         if not live:
             break
-        slots = np.array(blocked)
         if len(graph) + len(set(blocked)) > NODES_PER_RUN * n_runs:
             graph.record(rec, taken, first, np.array(step), uniforms, mark)
             first, mark = np.array(step), np.array(cursor)
-            rho = graph.rho[[at[r] for r in live]]
-            graph = _StateGraph(scn, drift)
-            nodes = graph.add(rho)
-            for r, node in zip(live, nodes.tolist()):
-                at[r] = node
-            slots = nodes * s + slots % s
-        graph.collapse(slots)
+            old, graph = graph, _StateGraph(scn, drift)
+            for r in live:
+                at[r] = graph.add(old.rho[at[r]])
+            # every unfinished run waits on one slot, in the order of ``live``
+            blocked = [at[r] * s + slot % s for r, slot in zip(live, blocked)]
+        graph.collapse(blocked)
     graph.record(rec, taken, first, np.array(step), uniforms, mark)
     return rec
 
@@ -738,10 +689,8 @@ def sector_transition_matrix(scn: NdmScenario, drift: np.ndarray) -> np.ndarray:
     n = len(sectors)
     out = np.zeros((n, n))
     for a_idx, p_a in enumerate(sectors):
-        rho = p_a / np.trace(p_a).real
-        rho = drift @ rho @ dagger(drift)
-        sigma = scn.gate @ np.kron(rho, scn.probe_density) @ dagger(scn.gate)
-        rho_post = partial_trace(sigma, [s, p], keep=[0])
+        rho = drift @ (p_a / np.trace(p_a).real) @ dagger(drift)
+        rho_post = partial_trace(_joint(rho, scn), [s, p], keep=[0])
         for b_idx, p_b in enumerate(sectors):
             out[a_idx, b_idx] = float(np.trace(rho_post @ p_b).real)
     return out
@@ -764,8 +713,8 @@ def weak_measurement_trajectories(
     trajectory per seed; all of them share one ``_ndm_runs`` call, and each is the
     one ``weak_measurement_trajectory`` gives for its seed.
     """
-    if drift_angle > 0.2:
-        raise ValidationError("drift_angle must satisfy <= 0.2 (weak drift)")
+    if abs(drift_angle) > 0.2:
+        raise ValidationError("drift_angle must satisfy |drift_angle| <= 0.2 (weak drift)")
     if window < 10:
         raise ValidationError("window must be at least 10")
     if n < window:
@@ -776,7 +725,7 @@ def weak_measurement_trajectories(
     c, s_ = np.cos(drift_angle), np.sin(drift_angle)
     drift = np.array([[c, -s_], [s_, c]], dtype=np.complex128)
     rec = _ndm_runs(scn, seeds, n, drift)
-    if drift_angle > 0.0 and not rec.events.all():
+    if drift_angle != 0.0 and not rec.events.all():
         raise NoEventError("no events occurred along the trajectory")
     transition = sector_transition_matrix(scn, drift)
     transition.flags.writeable = False  # one matrix, shared by the batch

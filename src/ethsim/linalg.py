@@ -60,6 +60,15 @@ NEAREST_GAIN_TOL = 1e-15
 # path-measure values at or below MEASURE_FLOOR count as zero in the relative
 # entropy against the reversed measure
 MEASURE_FLOOR = 1e-15
+# the bounds of ``ethsim verify``: the reduced and generic detection routes'
+# Born weights differ by less than VERIFY_WEIGHT_TOL and the generic event's
+# incoherence residual is at most it; each tree depth's mass, the sum rule's
+# deviation and each relative entropy's negative part are at most
+# VERIFY_SUM_TOL; each path measure is within VERIFY_MEASURE_TOL of the
+# product of the path's branch weights
+VERIFY_WEIGHT_TOL = 1e-8
+VERIFY_SUM_TOL = 1e-9
+VERIFY_MEASURE_TOL = 1e-10
 
 
 def freeze(m: np.ndarray) -> np.ndarray:

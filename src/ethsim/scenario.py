@@ -168,6 +168,9 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     thresholds = Thresholds(**{k: _real(v, k) for k, v in raw_thr.items()})
     if not 0.0 < thresholds.weight_eps < 0.5:
         raise ValidationError(f"weight_eps must lie in (0, 0.5), got {thresholds.weight_eps}")
+    seed = _integer(doc.get("seed", 0), "seed")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     jumps = doc.get("jumps", {})
     _reject_unknown(jumps, _JUMPS_KEYS, "jumps")
     for key, number in (("drift_angle", _real), ("window", _integer)):
@@ -183,7 +186,7 @@ def parse_scenario_dict(doc: dict) -> Scenario:
         quantity=dict(quantity),
         conserved=conserved,
         thresholds=thresholds,
-        seed=_integer(doc.get("seed", 0), "seed"),
+        seed=seed,
         runs=_count(doc.get("runs", 100), "runs"),
         steps=_count(doc["steps"], "steps") if "steps" in doc else None,
         jumps=dict(jumps),

@@ -25,7 +25,6 @@ from ethsim.indirect import (
     weak_measurement_trajectories,
     weak_measurement_trajectory,
     _branch_stage,
-    _collapse_stage,
     _measurement_step,
     _ndm_runs,
 )
@@ -412,8 +411,8 @@ class TestConservationAlongRuns:
 
 
 class TestBatchedKernel:
-    """All runs of an experiment advance as one stack; each must be the run a
-    lone ``run_ndm_protocol`` call with its seed gives, bit for bit."""
+    """All runs of an experiment advance in one driver call; each must be the
+    run a lone ``run_ndm_protocol`` call with its seed gives, bit for bit."""
 
     @pytest.mark.parametrize(
         "theta, readout_phi",
@@ -432,8 +431,8 @@ class TestBatchedKernel:
             assert np.array_equal(run.purification, lone.purification)
             assert np.array_equal(run.conserved_expectation, lone.conserved_expectation)
 
-    def test_mixed_stack_rows_equal_lone_steps(self):
-        # rows that branch at step 1 (superposition), never branch (the
+    def test_lone_steps_draw_their_stage_uniforms(self):
+        # starts that branch at step 1 (superposition), never branch (the
         # theta=0 eigenstate) and have no sector structure (maximally mixed)
         scn = cnot_scenario(readout_phi=0.3)
         starts = [
@@ -442,28 +441,18 @@ class TestBatchedKernel:
             np.eye(2, dtype=complex) / 2,
             np.asarray(system_state(THETA).density),
         ]
-        rngs = [np.random.default_rng(seed) for seed in range(len(starts))]
-        lone_rngs = [np.random.default_rng(seed) for seed in range(len(starts))]
-        rho, lone = np.stack(starts), list(starts)
-        for step in range(12):
-            br = _branch_stage(rho, scn)
-            if step == 0:
-                assert br.branched.tolist() == [True, False, False, True]
-                assert br.draws.tolist() == [2, 1, 0, 2]
-            u = np.zeros((len(starts), 2))
-            for r, k in enumerate(br.draws):
-                if k:
-                    u[r, 2 - k :] = rngs[r].random(k)
-            eta, weight, rho = _collapse_stage(br, scn, u)
-            for r in range(len(starts)):
-                out = _measurement_step(lone[r], scn, lone_rngs[r])
-                assert out.eta == eta[r]
-                assert out.branched == br.branched[r]
-                assert out.branch_weight == weight[r]
-                assert np.array_equal(out.new_system, rho[r])
-                lone[r] = out.new_system
-        for a, b in zip(rngs, lone_rngs):
-            assert a.random() == b.random()
+        first = [_branch_stage(rho, scn) for rho in starts]
+        assert [br.branched for br in first] == [True, False, False, True]
+        assert [br.draws for br in first] == [2, 1, 0, 2]
+        for seed, rho in enumerate(starts):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(12):
+                br = _branch_stage(rho, scn)
+                out = _measurement_step(rho, scn, rng)
+                assert out.branched == br.branched
+                ref.random(br.draws)
+                rho = out.new_system
+            assert rng.random() == ref.random()
 
     def test_long_runs_keep_their_draws(self):
         # runs of many steps: each must keep drawing the doubles its own
@@ -719,6 +708,14 @@ class TestDriver:
         traj = weak_measurement_trajectories(scn, 0.0, 100, 25, [0, 1])
         assert all(t.etas == (0,) * 100 for t in traj)
 
+    def test_negative_drift_angles_are_checked(self):
+        # the weak-drift bound and the event check both hold for |drift_angle|
+        with pytest.raises(ValidationError, match="weak drift"):
+            weak_measurement_trajectories(jumps_scenario(100), -3.0, 100, 25, [0])
+        scn = jumps_scenario(100, State(np.eye(2, dtype=complex) / 2))
+        with pytest.raises(NoEventError):
+            weak_measurement_trajectories(scn, -0.05, 100, 25, [0, 1])
+
     def test_transition_matrix_is_shared_and_read_only(self):
         batch = weak_measurement_trajectories(jumps_scenario(100), 0.05, 100, 25, [0, 1])
         assert batch[0].transition_matrix is batch[1].transition_matrix
@@ -734,11 +731,12 @@ class TestDriver:
 
 
 def count_branch_rows(monkeypatch):
+    """One entry per branch stage the driver runs, each a single state."""
     rows = []
     stage = indirect._branch_stage
 
     def counted(rho, scn):
-        rows.append(len(rho))
+        rows.append(1)
         return stage(rho, scn)
 
     monkeypatch.setattr(indirect, "_branch_stage", counted)

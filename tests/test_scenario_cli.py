@@ -84,6 +84,7 @@ MALFORMED = [
         {"quantity": {"name": "custom", "spectrum": [0, "one"], "projections": HALVES}},
         "quantity (custom): a spectrum value must be a number",
     ),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
 ]
 
 
@@ -413,6 +414,12 @@ class TestCliCommands:
         (["jumps", "--scenario", "jumps", "--steps", "-5"], "--steps must be >= 1"),
         # fewer steps than one window leave no window to classify
         (["jumps", "--scenario", "jumps", "--steps", "20"], "steps must be >= the window (25)"),
+        # a seed is a SeedSequence entropy, which must not be negative
+        (["simulate", "--scenario", "cnot", "--seed", "-1"], "--seed must be >= 0"),
+        (["ndm", "--scenario", "ndm", "--seed", "-1"], "--seed must be >= 0"),
+        (["jumps", "--scenario", "jumps", "--seed", "-3"], "--seed must be >= 0"),
+        (["verify", "--scenario", "cnot", "--seed", "-1"], "--seed must be >= 0"),
+        (["epr-demo", "--seed", "-1"], "--seed must be >= 0"),
     ]
 
     @pytest.mark.parametrize(
