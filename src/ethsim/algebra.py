@@ -9,7 +9,6 @@ abelian algebras are computed numerically with SVD rank decisions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +25,6 @@ from .linalg import (
     SVD_TOL,
     cluster_slices,
     clustered_eigh,
-    freeze,
     hermitian_eig,
     hs_norm,
     identity,
@@ -83,35 +81,36 @@ def _null_columns(mat: np.ndarray) -> np.ndarray:
     return _null_space(mat)[0]
 
 
-@dataclass(frozen=True)
 class StarAlgebra:
-    """A unital *-closed span of matrices with an HS-orthonormal basis."""
+    """A unital *-closed span of matrices with an HS-orthonormal basis.
 
-    ambient_dim: int
-    basis: tuple[np.ndarray, ...]
+    The basis is held once, as one read-only (k, D, D) array: ``tensor`` is
+    that array, ``stack`` and each entry of ``basis`` are views of it.  A
+    contiguous complex128 array passed in is held without a copy, so the
+    caller must not write to it afterwards; a sequence of matrices is
+    stacked.
+    """
+
+    def __init__(self, ambient_dim: int, basis) -> None:
+        tensor = np.ascontiguousarray(basis, dtype=np.complex128)
+        tensor = tensor.reshape(len(tensor), ambient_dim, ambient_dim)
+        tensor.flags.writeable = False
+        self.ambient_dim = ambient_dim
+        self.tensor = tensor
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.tensor.shape[0]
 
     @cached_property
+    def basis(self) -> tuple[np.ndarray, ...]:
+        """The basis elements, as read-only views of ``tensor``."""
+        return tuple(self.tensor)
+
+    @property
     def stack(self) -> np.ndarray:
-        """Basis as rows of length ambient_dim**2."""
-        n = self.ambient_dim * self.ambient_dim
-        if not self.basis:
-            return np.zeros((0, n), dtype=np.complex128)
-        return np.stack([b.reshape(-1) for b in self.basis])
-
-    @cached_property
-    def conj_stack(self) -> np.ndarray:
-        """Complex conjugate of ``stack``: its rows give HS coefficients."""
-        return self.stack.conj()
-
-    @cached_property
-    def tensor(self) -> np.ndarray:
-        """Basis as a (k, D, D) array."""
-        d = self.ambient_dim
-        return self.stack.reshape(self.dim, d, d)
+        """Basis as rows of length ambient_dim**2 (a view of ``tensor``)."""
+        return self.tensor.reshape(self.dim, -1)
 
     @cached_property
     def commutant(self) -> StarAlgebra:
@@ -122,16 +121,31 @@ class StarAlgebra:
         """
         return _commutant(self)
 
+    @cached_property
+    def _generic(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The Hermitian part h and the anti-Hermitian part of one fixed
+        generic element, and h's clustered eigenvectors and labels.
+
+        One eigendecomposition, shared by the commutant and every relative
+        commutant of this algebra.
+        """
+        rng = np.random.default_rng(_GENERIC_SEED)
+        c = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
+        g = np.tensordot(c, self.tensor, axes=(0, 0))
+        h = (g + g.conj().T) / 2.0
+        _, vecs, labels = clustered_eigh(h)
+        return h, (g - g.conj().T) / 2.0j, vecs, labels
+
     def project(self, x: np.ndarray) -> np.ndarray:
         """HS-orthogonal projection of ``x`` onto the span."""
         v = np.asarray(x, dtype=np.complex128).reshape(-1)
-        coeffs = self.conj_stack @ v
+        # the HS coefficients tr(B_i* x), without a conjugated copy of the stack
+        coeffs = (self.stack @ v.conj()).conj()
         return (self.stack.T @ coeffs).reshape(self.ambient_dim, self.ambient_dim)
 
 
 def from_span(mats, ambient_dim: int) -> StarAlgebra:
-    basis = orthonormalize(mats, ambient_dim)
-    return StarAlgebra(ambient_dim, tuple(freeze(b) for b in basis))
+    return StarAlgebra(ambient_dim, orthonormalize(mats, ambient_dim))
 
 
 def contains(algebra: StarAlgebra, x: np.ndarray, tol: float = MEMBER_TOL) -> bool:
@@ -152,7 +166,9 @@ def includes(outer: StarAlgebra, inner: StarAlgebra) -> bool:
     if outer.ambient_dim != inner.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
     x = inner.stack
-    residual = np.linalg.norm(x - (x @ outer.conj_stack.T) @ outer.stack, axis=1)
+    # HS coefficients on outer's basis, conjugating inner's stack, not outer's
+    coeffs = (x.conj() @ outer.stack.T).conj()
+    residual = np.linalg.norm(x - coeffs @ outer.stack, axis=1)
     return bool(np.all(residual <= MEMBER_TOL * (1.0 + np.linalg.norm(x, axis=1))))
 
 
@@ -190,21 +206,21 @@ def generate_algebra(generators, ambient_dim: int) -> StarAlgebra:
             np.concatenate([basis, adjoints, products]), ambient_dim
         )
         if len(new_basis) == k:
-            return StarAlgebra(ambient_dim, tuple(freeze(b) for b in new_basis))
+            return StarAlgebra(ambient_dim, new_basis)
         basis = new_basis
     raise NonConvergence(
         f"algebra closure did not stabilize in {CLOSURE_ROUNDS} rounds"
     )
 
 
-def _commutant_of_hermitian(h: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (r, D, D) of {X : [X, h] = 0} for Hermitian ``h``.
+def _commutant_of_hermitian(vecs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (r, D, D) of {X : [X, h] = 0} for the Hermitian h
+    whose clustered eigenvectors and labels (``clustered_eigh``) are given.
 
     The commutant of a Hermitian matrix is the block algebra over its
     clustered eigenspaces, so it comes straight from one eigendecomposition.
     """
-    d = h.shape[0]
-    _, vecs, labels = clustered_eigh(h)
+    d = vecs.shape[0]
     blocks = []
     for level in cluster_slices(labels):
         v = vecs[:, level]
@@ -213,32 +229,21 @@ def _commutant_of_hermitian(h: np.ndarray) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def commutant(algebra: StarAlgebra) -> StarAlgebra:
-    """{X : [X, B] = 0 for every basis element B}, memoised on ``algebra``."""
-    return algebra.commutant
-
-
-def _commutant(algebra: StarAlgebra) -> StarAlgebra:
-    """{X : [X, B] = 0 for every basis element B}, computed afresh.
+def _commuting_part(current: np.ndarray, elems) -> np.ndarray:
+    """The elements of span(``current``) that commute with every matrix in
+    ``elems``, as an orthonormal (r, D, D) basis; ``current`` is an
+    HS-orthonormal (k, D, D) basis.
 
     The null space of the stacked commutator map is computed by sequential
-    intersection: start from the commutant of one generic Hermitian element of
-    the algebra (cheap, via its eigenblocks) and shrink it against every basis
-    element with small SVD rank decisions.
+    intersection: the span shrinks against one element at a time with small
+    SVD rank decisions.
     """
-    d = algebra.ambient_dim
-    if algebra.dim == 0:
-        return full_matrix_algebra(d)
-    basis = algebra.tensor
-    rng = np.random.default_rng(_GENERIC_SEED)
-    c = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
-    g = np.tensordot(c, basis, axes=(0, 0))
-    current = _commutant_of_hermitian((g + g.conj().T) / 2.0)
-    elems = [(g - g.conj().T) / 2.0j] + list(basis)
+    d = current.shape[-1]
     for b in elems:
         if len(current) == 0:
             break
-        comms = current @ b - b @ current
+        comms = current @ b
+        comms -= b @ current
         # The Frobenius norm bounds the largest singular value s0, so here
         # s0 <= SVD_TOL <= SVD_TOL * (1 + s0): the SVD below would find rank 0
         # and keep every column.  Skipping it changes no basis.
@@ -249,15 +254,24 @@ def _commutant(algebra: StarAlgebra) -> StarAlgebra:
         if cols.shape[1] == len(current):
             continue
         current = np.tensordot(cols.T, current, axes=(1, 0))
-    return StarAlgebra(d, tuple(freeze(b) for b in current))
+    return current
 
 
-def _full_matrix_units(d: int):
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[i, j] = 1.0
-            yield e
+def commutant(algebra: StarAlgebra) -> StarAlgebra:
+    """{X : [X, B] = 0 for every basis element B}, memoised on ``algebra``."""
+    return algebra.commutant
+
+
+def _commutant(algebra: StarAlgebra) -> StarAlgebra:
+    """{X : [X, B] = 0 for every basis element B}, computed afresh.
+
+    Starts from the commutant of the Hermitian part of one generic element of
+    the algebra (cheap, via its eigenblocks) and shrinks it against the
+    anti-Hermitian part and every basis element.
+    """
+    _, anti, vecs, labels = algebra._generic
+    start = _commutant_of_hermitian(vecs, labels)
+    return StarAlgebra(algebra.ambient_dim, _commuting_part(start, (anti, *algebra.tensor)))
 
 
 def intersect_spans(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
@@ -267,18 +281,30 @@ def intersect_spans(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
     d = a.ambient_dim
     if a.dim == 0 or b.dim == 0:
         return StarAlgebra(d, ())
-    m = b.conj_stack @ a.stack.T
+    # m is the conjugate of the cosine matrix <b_i, a_j>, so its right
+    # singular vectors are the conjugates of that matrix's
+    m = b.stack @ a.stack.conj().T
     _, s, vh = np.linalg.svd(m, full_matrices=False)
     keep = s >= 1.0 - COS_TOL
-    vecs = vh[keep].conj() @ a.stack
-    basis = orthonormalize(vecs.reshape(-1, d, d), d)
-    return StarAlgebra(d, tuple(freeze(x) for x in basis))
+    vecs = vh[keep] @ a.stack
+    return StarAlgebra(d, orthonormalize(vecs.reshape(-1, d, d), d))
 
 
 def relative_commutant(a: StarAlgebra, b: StarAlgebra) -> StarAlgebra:
-    """commutant(a) intersected with the span of ``b``."""
+    """commutant(a) intersected with the span of ``b``.
+
+    The answer lies in span(b) and in {h}', h the Hermitian part of a's
+    generic element.  When span(b) is no larger than {h}', b's own basis is
+    shrunk against h, the anti-Hermitian part and a's basis, so the commutant
+    of a is never formed; otherwise the memoised commutant of a is
+    intersected with span(b).
+    """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
+    h, anti, _, labels = a._generic
+    sizes = np.bincount(labels)
+    if b.dim <= int(sizes @ sizes):
+        return StarAlgebra(a.ambient_dim, _commuting_part(b.tensor, (h, anti, *a.tensor)))
     return intersect_spans(commutant(a), b)
 
 
@@ -343,9 +369,9 @@ def minimal_projections_retry(algebra: StarAlgebra, rng_seed: int = 0) -> tuple[
 
 
 def full_matrix_algebra(dim: int) -> StarAlgebra:
-    units = [freeze(e) for e in _full_matrix_units(dim)]
-    return StarAlgebra(dim, tuple(units))
+    """M_dim with its matrix units E_ij as the basis, row by row."""
+    return StarAlgebra(dim, np.eye(dim * dim, dtype=np.complex128))
 
 
 def scalar_algebra(dim: int) -> StarAlgebra:
-    return StarAlgebra(dim, (freeze(np.eye(dim) / np.sqrt(dim)),))
+    return StarAlgebra(dim, np.eye(dim, dtype=np.complex128)[None] / np.sqrt(dim))

@@ -269,8 +269,9 @@ class ChainModel:
             raw = np.einsum("mab,uv,nkl->mnaukbvl", units_s, middle, units_f)
             raw = raw.reshape(s * s * fut * fut, self.dim, self.dim)
             c = self._cumulative[t]
-            conj = c.conj().T @ raw @ c
-            self._algebra_cache[t] = StarAlgebra(self.dim, tuple(freeze(b) for b in conj))
+            # the conjugated basis overwrites the raw one: two stacks alive, not three
+            np.matmul(c.conj().T @ raw, c, out=raw)
+            self._algebra_cache[t] = StarAlgebra(self.dim, raw)
         return self._algebra_cache[t]
 
     # -- reduced-state route ------------------------------------------------

@@ -185,6 +185,7 @@ def cmd_tree(scn: Scenario, args) -> int:
 def cmd_verify(scn: Scenario, args) -> int:
     model = build_model(scn)
     weight_eps = scn.thresholds.weight_eps
+    seed = args.seed if args.seed is not None else scn.seed
     failures = []
 
     def suite(name, fn):
@@ -236,7 +237,7 @@ def cmd_verify(scn: Scenario, args) -> int:
     def sum_rule():
         dev = hist.check_sum_rule(tree, model.initial_state)
         assert dev <= VERIFY_SUM_TOL, f"deviation {dev}"
-        rng = np.random.default_rng(scn.seed)
+        rng = np.random.default_rng(seed)
         x_raw = rng.standard_normal((model.dim, model.dim)) + 1j * rng.standard_normal(
             (model.dim, model.dim)
         )
@@ -254,8 +255,8 @@ def cmd_verify(scn: Scenario, args) -> int:
         assert span_equal(commutant(commutant(a)), a), "bicommutant differs"
 
     def determinism():
-        h1 = hist.sample_history(model, seed=scn.seed, weight_eps=weight_eps)
-        h2 = hist.sample_history(model, seed=scn.seed, weight_eps=weight_eps)
+        h1 = hist.sample_history(model, seed=seed, weight_eps=weight_eps)
+        h2 = hist.sample_history(model, seed=seed, weight_eps=weight_eps)
         f1 = [s.post_state_fingerprint for s in h1.steps]
         f2 = [s.post_state_fingerprint for s in h2.steps]
         assert f1 == f2, "same seed produced different histories"

@@ -33,6 +33,7 @@ from .errors import (
     OutOfRange,
     SeparationFailure,
     ValidationError,
+    ZeroProbability,
 )
 from .chain import ChainModel, ground_density
 from .histories import _expand
@@ -201,7 +202,13 @@ def _branch_stage(rho: np.ndarray, scn: NdmScenario) -> _Branches:
     rho_post = partial_trace(sigma, [s, p], keep=[0])
     vals, vecs, labels = clustered_eigh(rho_post)
     # each sector's weight sums its eigenvalues in ascending order
-    weights, total, last = positive_weights(np.bincount(labels, weights=vals), scn.weight_eps)
+    sector_weights = np.bincount(labels, weights=vals)
+    weights, total, last = positive_weights(sector_weights, scn.weight_eps)
+    if last < 0:
+        raise ZeroProbability(
+            f"no sector weight exceeds weight_eps {scn.weight_eps}: "
+            f"the largest is {sector_weights.max():.6g}"
+        )
     kept = np.flatnonzero(weights)
     blocks = [vecs[:, level] for level in cluster_slices(labels)]
     return _Branches(

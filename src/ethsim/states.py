@@ -237,7 +237,7 @@ def _closed_null_space(t: np.ndarray, m: StarAlgebra, error: float) -> StarAlgeb
     under products.  ``error`` bounds ||t - T||_2 for the exact map T."""
     cols, kept = alg._null_space(t)
     vecs = np.tensordot(cols.T, m.tensor, axes=(1, 0))
-    sub = StarAlgebra(m.ambient_dim, tuple(freeze(v) for v in vecs))
+    sub = StarAlgebra(m.ambient_dim, vecs)
     _require_closed(sub, _closure_bound(t, cols, kept, error))
     return sub
 
@@ -261,10 +261,11 @@ def _product_closed(sub: StarAlgebra) -> bool:
         return True
     # chunked over left factors to bound peak memory on large centralizers
     chunk = max(1, (1 << 22) // max(1, k * basis.shape[1] ** 2))
+    conj = sub.stack.conj()
     for start in range(0, k, chunk):
         left = basis[start : start + chunk]
         prods = (left[:, None] @ basis[None]).reshape(len(left) * k, -1)
-        proj = (sub.conj_stack @ prods.T).T @ sub.stack
+        proj = (conj @ prods.T).T @ sub.stack
         if float(np.abs(prods - proj).max()) > MEMBER_TOL:
             return False
     return True

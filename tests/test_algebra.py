@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 from ethsim import algebra as alg
 from ethsim.algebra import (
     center,
     commutant,
     contains,
+    from_span,
     full_matrix_algebra,
     generate_algebra,
     includes,
@@ -18,6 +20,8 @@ from ethsim.algebra import (
 )
 from ethsim.errors import DimensionMismatch, NotAbelian
 from ethsim.linalg import SIGMA_X, SIGMA_Z, embed_site_operator, operator_norm
+from ethsim.scenario import build_model, resolve_scenario
+from ethsim.states import centralizer_of_state
 
 
 def random_generated_algebra(rng, dim=None, n_gens=None):
@@ -203,6 +207,98 @@ class TestRelativeCommutantAndCenter:
         diag = generate_algebra([np.array(SIGMA_Z)], 2)
         inter = intersect_spans(full, diag)
         assert span_equal(inter, diag)
+
+
+def block_algebra(blocks, u):
+    """The direct sum of M_n (x) 1_mu over ``blocks`` [(n, mu), ...],
+    conjugated by the unitary ``u``."""
+    d = u.shape[0]
+    mats = []
+    offset = 0
+    for n, mu in blocks:
+        size = n * mu
+        for unit in np.eye(n * n).reshape(n * n, n, n):
+            x = np.zeros((d, d), dtype=complex)
+            x[offset : offset + size, offset : offset + size] = np.kron(unit, np.eye(mu))
+            mats.append(u @ x @ u.conj().T)
+        offset += size
+    return from_span(mats, d)
+
+
+def reference_relative_commutant(a, b):
+    """The formula every relative commutant used to take: the whole
+    commutant of ``a``, intersected with the span of ``b``."""
+    return intersect_spans(commutant(a), b)
+
+
+def small_route(a, b):
+    """Whether ``relative_commutant`` shrinks b's own basis: span(b) is no
+    larger than the commutant of a's generic Hermitian element."""
+    sizes = np.bincount(a._generic[3])
+    return b.dim <= int(sizes @ sizes)
+
+
+def assert_same_relative_commutant(a, b):
+    got = relative_commutant(a, b)
+    ref = reference_relative_commutant(a, b)
+    assert got.dim == ref.dim
+    assert span_equal(got, ref)
+    np.testing.assert_allclose(got.stack.conj() @ got.stack.T, np.eye(got.dim), atol=1e-9)
+
+
+class TestRelativeCommutantKernel:
+    def test_random_block_algebras_match_the_old_formula(self):
+        rng = np.random.default_rng(41)
+        routes = set()
+        for _ in range(30):
+            blocks = [
+                (int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            d = sum(n * mu for n, mu in blocks)
+            u = unitary_group.rvs(d, random_state=rng)
+            a = block_algebra(blocks, u)
+            # every block made full contains a; a second Haar unitary gives
+            # an algebra in general position
+            whole_blocks = block_algebra([(n * mu, 1) for n, mu in blocks], u)
+            other = block_algebra(blocks, unitary_group.rvs(d, random_state=rng))
+            pairs = [
+                (a, a),
+                (a, full_matrix_algebra(d)),
+                (a, whole_blocks),
+                (whole_blocks, a),
+                (a, other),
+            ]
+            for x, y in pairs:
+                assert_same_relative_commutant(x, y)
+                routes.add(small_route(x, y))
+            assert center(a).dim == len(blocks)
+        assert routes == {True, False}
+
+    @pytest.mark.parametrize("name", ["cnot", "cnot_t3", "commuting", "epr", "partial_swap"])
+    def test_bundled_chains_match_the_old_formula(self, name):
+        model = build_model(resolve_scenario(name))
+        algebras = [model.algebra_at(t) for t in range(model.horizon + 1)]
+        routes = set()
+        for outer, inner in zip(algebras, algebras[1:]):
+            assert_same_relative_commutant(inner, outer)
+            routes.add(small_route(inner, outer))
+        assert routes == {True, False}
+        for m in algebras[1:]:
+            c = centralizer_of_state(model.initial_state, m)
+            assert_same_relative_commutant(c, c)
+
+    def test_basis_entries_are_read_only_views_of_one_stack(self):
+        rng = np.random.default_rng(2)
+        for a in (random_generated_algebra(rng), full_matrix_algebra(3), scalar_algebra(2)):
+            assert not a.tensor.flags.writeable
+            assert np.shares_memory(a.stack, a.tensor)
+            for i, b in enumerate(a.basis):
+                assert not b.flags.writeable
+                assert np.shares_memory(b, a.tensor)
+                np.testing.assert_array_equal(b, a.tensor[i])
+                with pytest.raises(ValueError):
+                    b[0, 0] = 1.0
 
 
 class TestMinimalProjections:

@@ -12,6 +12,7 @@ from ethsim.errors import (
     OutOfRange,
     SeparationFailure,
     ValidationError,
+    ZeroProbability,
 )
 from ethsim.indirect import (
     MeasurementProtocol,
@@ -149,7 +150,34 @@ class TestScenarioValidation:
             scn.check_separation()
 
 
+def light_sectors_scenario():
+    """s=3, p=2: the probe turns by 0, pi and pi/2 on the three system
+    levels, A = diag(1, 2, 3), and no sector of the start diag(0.32, 0.33,
+    0.35) weighs more than weight_eps 0.4."""
+    def turn(angle):
+        c, s_ = np.cos(angle / 2), np.sin(angle / 2)
+        return np.array([[c, -s_], [s_, c]], dtype=complex)
+
+    levels = np.eye(3)
+    gate = sum(
+        np.kron(np.diag(levels[k]), turn(angle))
+        for k, angle in enumerate((0.0, np.pi, np.pi / 2))
+    )
+    return NdmScenario(
+        3, 2, gate, np.diag([1.0, 2.0, 3.0]).astype(complex),
+        probe_pointer_quantity(3, 2), State(np.diag([0.32, 0.33, 0.35]).astype(complex)),
+        runs=2, steps=5, weight_eps=0.4,
+    )
+
+
 class TestNdmRuns:
+    def test_no_sector_above_weight_eps_raises(self):
+        scn = light_sectors_scenario()
+        scn.check_separation()  # the sectors are told apart; only the weights fail
+        for run in (lambda: run_ndm_protocol(scn, 0), lambda: ndm_experiment(scn)):
+            with pytest.raises(ZeroProbability, match="weight_eps 0.4: the largest is 0.35"):
+                run()
+
     def test_eigenstate_deterministic(self):
         scn = cnot_scenario()
         up = NdmScenario(

@@ -264,7 +264,8 @@ def test_commutant_of_hermitian_is_the_block_algebra(sizes):
     # exact degeneracies, so members commute with h to rounding
     levels, _ = planted_spectrum(sizes, 0.3, 0.0, 2.0)
     h = planted_hermitian(levels, np.random.default_rng(len(sizes)))
-    basis = alg._commutant_of_hermitian(h)
+    _, vecs, labels = clustered_eigh(h)
+    basis = alg._commutant_of_hermitian(vecs, labels)
     assert len(basis) == sum(m * m for m in sizes)
     for x in basis:
         assert np.abs(x @ h - h @ x).max() < 1e-12

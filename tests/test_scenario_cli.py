@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ethsim import algebra as alg
+from ethsim import histories as hist
 from ethsim.algebra import StarAlgebra
 from ethsim.chain import GATE_BUILDERS, ChainModel
 from ethsim.cli import _ndm_csv, main
@@ -267,6 +268,79 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "FAIL filtration-nesting: relative commutant dim 3 != 4" in out
         assert "PASS double-commutant" in out
+
+    def test_verify_catches_a_short_relative_commutant(self, monkeypatch, capsys):
+        # relative commutants taken inside a filtration algebra's own span,
+        # the route that never forms the commutant, come out one element
+        # short: the nesting step at t=1, where E(1) is no larger than the
+        # commutant of a generic element of E(2)
+        spans = []
+        real_at = ChainModel.algebra_at
+
+        def recorded(model, t):
+            a = real_at(model, t)
+            spans.append(a.tensor)
+            return a
+
+        real = alg._commuting_part
+
+        def short(current, elems):
+            out = real(current, elems)
+            if any(current is s for s in spans):
+                return out[:-1]
+            return out
+
+        monkeypatch.setattr(ChainModel, "algebra_at", recorded)
+        monkeypatch.setattr(alg, "_commuting_part", short)
+        assert main(["verify", "--scenario", "cnot"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL filtration-nesting: relative commutant dim 3 != 4 at t=1" in out
+        assert out.count("FAIL") == 2  # the suite and the summary line
+
+    def test_verify_draws_from_the_seed_flag(self, monkeypatch, capsys):
+        seeds = []
+        real = hist.sample_history
+
+        def recorded(model, seed, **kwargs):
+            seeds.append(seed)
+            return real(model, seed=seed, **kwargs)
+
+        monkeypatch.setattr(hist, "sample_history", recorded)
+        assert main(["verify", "--scenario", "cnot", "--seed", "3"]) == 0
+        assert seeds == [3, 3]
+        seeds.clear()
+        assert main(["verify", "--scenario", "cnot"]) == 0
+        assert seeds == [resolve_scenario("cnot").seed] * 2
+        capsys.readouterr()
+
+    def test_ndm_with_no_sector_above_weight_eps_is_one_error_line(self, tmp_path, capsys):
+        # the probe turns by 0, pi and pi/2 on the three system levels; no
+        # sector of the start weighs more than weight_eps
+        def entries(m):
+            return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+        gate = np.zeros((6, 6))
+        for k, angle in enumerate((0.0, np.pi, np.pi / 2)):
+            c, s_ = np.cos(angle / 2), np.sin(angle / 2)
+            gate[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s_], [s_, c]]
+        g = {"name": "explicit", "entries": entries(gate)}
+        doc = {
+            "name": "light_sectors",
+            "system_dim": 3,
+            "probe_dim": 2,
+            "horizon": 2,
+            "gates": [g, g],
+            "initial_state": {"system_entries": entries(np.diag([0.32, 0.33, 0.35]))},
+            "conserved": {"entries": entries(np.diag([1.0, 2.0, 3.0]))},
+            "thresholds": {"weight_eps": 0.4},
+            "seed": 0,
+        }
+        path = tmp_path / "light_sectors.json"
+        path.write_text(json.dumps(doc))
+        assert main(["ndm", "--scenario", str(path), "--runs", "2", "--steps", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no sector weight exceeds weight_eps 0.4")
+        assert err.count("\n") == 1
 
     def test_verify_frees_its_model_without_gc(self, capsys):
         # Reference cycles would keep the model and its cached future
