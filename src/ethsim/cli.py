@@ -158,26 +158,22 @@ def cmd_tree(scn: Scenario, args) -> int:
     model = build_model(scn)
     prune = args.prune if args.prune is not None else scn.thresholds.weight_eps
     tree = hist.enumerate_tree(model, prune_eps=prune, weight_eps=scn.thresholds.weight_eps)
-    paths = tree.step_paths()
-    rows = []
-    for path in paths:
-        labels = [s[1] or "-" for s in path]
-        weight = 1.0
-        for s in path:
-            weight *= s[3]
-        rows.append(["/".join(labels), f"{weight:.17g}"])
+    leaves = tree.leaves()
     if args.out:
+        rows = [
+            ["/".join(s[1] or "-" for s in leaf.steps), f"{leaf.path_weight:.17g}"]
+            for leaf in leaves
+        ]
         _write_csv(args.out, ["path", "weight"], rows)
     if args.trace:
-        lines = []
-        for path in paths:
-            for t, label, _, w in path:
-                lines.append(
-                    json_line({"t": t, "chosen_label": label, "weight": w})
-                )
+        lines = [
+            json_line({"t": t, "chosen_label": label, "weight": w})
+            for leaf in leaves
+            for t, label, _, w in leaf.steps
+        ]
         _write_lines(args.trace, lines)
     print(f"nodes       = {tree.node_count}")
-    print(f"leaves      = {len(paths)}")
+    print(f"leaves      = {len(leaves)}")
     print(f"pruned_mass = {tree.pruned_mass:.17g}")
     return 0
 
@@ -227,11 +223,9 @@ def cmd_verify(scn: Scenario, args) -> int:
             assert abs(total - 1.0) <= VERIFY_SUM_TOL, f"depth {d} mass {total}"
 
     def path_measure():
-        for path in tree.step_paths():
-            mu = hist.history_measure(model.initial_state, [s[2] for s in path])
-            w = 1.0
-            for s in path:
-                w *= s[3]
+        for leaf in tree.leaves():
+            mu = hist.history_measure(model.initial_state, [s[2] for s in leaf.steps])
+            w = leaf.path_weight
             assert abs(mu - w) <= VERIFY_MEASURE_TOL, f"mu {mu} vs path weight {w}"
 
     def sum_rule():

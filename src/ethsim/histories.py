@@ -229,9 +229,16 @@ def sample_histories(
 
 @dataclass
 class TreeNode:
+    """One node of a ``HistoryTree``.  ``steps`` is its path from the root,
+    one (t, label, projection, conditional_weight) per step; a step without
+    an actual event is (t, None, identity, 1.0), the trivial partition, which
+    leaves every measure value unchanged.  Nodes below a node share its step
+    objects, and ``path_weight`` is the product of the steps' weights."""
+
     t: int
     state: State
     path_weight: float
+    steps: tuple = ()
     event: object | None = None
     weights: tuple[float, ...] = ()
     entropy: float = 0.0
@@ -241,56 +248,34 @@ class TreeNode:
 @dataclass
 class HistoryTree:
     root: TreeNode
+    levels: list  # the nodes of each depth 0..horizon, in depth-first order
     horizon: int
     prune_eps: float
     pruned_mass: float
     node_count: int
 
     def nodes_at_depth(self, depth: int):
-        level = [self.root]
-        for _ in range(depth):
-            level = [c for n in level for c in n.children.values()]
-        return level
+        return self.levels[depth] if depth < len(self.levels) else []
 
     def depth_weights(self):
         """Total unpruned path weight at every depth (1.0 minus pruned mass)."""
-        return [
-            sum(n.path_weight for n in self.nodes_at_depth(d))
-            for d in range(self.horizon + 1)
-        ]
+        return [sum(n.path_weight for n in level) for level in self.levels]
+
+    def leaves(self):
+        """The nodes without children, depth first in the children's order."""
+        leaves, stack = [], [self.root]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(reversed(node.children.values()))
+            else:
+                leaves.append(node)
+        return leaves
 
     def step_paths(self):
-        """All root-to-leaf paths, one entry per time step.
-
-        Each entry is (t, label, projection, conditional_weight).  Steps
-        without an actual event carry label None, the identity projection and
-        weight 1: the trivial partition, which leaves every measure value
-        unchanged.  This keeps path depth uniform even when some branches
-        stop producing events.
-        """
-        paths = []
-        dim = self.root.state.dim
-        eye = np.eye(dim, dtype=np.complex128)
-
-        # depth-first with an explicit stack; children are pushed in reverse
-        # so paths come out in the children's insertion order
-        stack = [(self.root, [])]
-        while stack:
-            node, acc = stack.pop()
-            if not node.children:
-                paths.append(acc)
-                continue
-            if node.event is None:
-                child = next(iter(node.children.values()))
-                stack.append((child, acc + [(node.t + 1, None, eye, 1.0)]))
-                continue
-            branches = []
-            for label, child in node.children.items():
-                k = node.event.labels.index(label)
-                step = (node.t + 1, label, node.event.projections[k], node.weights[k])
-                branches.append((child, acc + [step]))
-            stack.extend(reversed(branches))
-        return paths
+        """Every root-to-leaf path, one (t, label, projection,
+        conditional_weight) entry per step (see ``TreeNode``)."""
+        return [list(leaf.steps) for leaf in self.leaves()]
 
 
 def enumerate_tree(
@@ -314,26 +299,33 @@ def enumerate_tree(
     if prune_eps is None:
         prune_eps = weight_eps
     root = TreeNode(t=0, state=model.initial_state, path_weight=1.0)
+    eye = np.eye(root.state.dim, dtype=np.complex128)
     count = 1
     pruned = 0.0
-    level = [root]
+    levels = [[root]]
     for t in range(1, horizon + 1):
         below = []
-        for parent in level:
+        for parent in levels[-1]:
             node = _expand(model, parent.state, t, weight_eps, engine)
             parent.event, parent.weights, parent.entropy = node.event, node.weights, node.entropy
             for k, (label, w) in enumerate(node.branches):
                 if node.event is not None and w <= prune_eps:
                     pruned += parent.path_weight * max(w, 0.0)
                     continue
-                child = TreeNode(t=t, state=node.child(k), path_weight=parent.path_weight * w)
+                proj = eye if node.event is None else node.event.projections[k]
+                child = TreeNode(
+                    t=t,
+                    state=node.child(k),
+                    path_weight=parent.path_weight * w,
+                    steps=parent.steps + ((t, label, proj, w),),
+                )
                 parent.children[label] = child
                 below.append(child)
                 count += 1
                 if count > max_nodes:
                     raise TreeTooLarge(f"tree exceeded {max_nodes} nodes")
-        level = below
-    return HistoryTree(root, horizon, prune_eps, pruned, count)
+        levels.append(below)
+    return HistoryTree(root, levels, horizon, prune_eps, pruned, count)
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +358,20 @@ def reversed_measure(root: State, projections) -> float:
     return float(val.real)
 
 
-def _unique_prefixes(paths, length: int, match=None):
-    """Distinct label prefixes of step paths, optionally sharing ``match``."""
-    seen = {}
-    for p in paths:
-        if len(p) < length:
-            continue
-        labels = tuple(step[1] for step in p[:length])
-        if match is not None and labels[: len(match)] != match:
-            continue
-        seen.setdefault(labels, p[:length])
-    return seen
+def _path_depth(tree: HistoryTree) -> int:
+    """The number of steps on the tree's first root-to-leaf path."""
+    node = tree.root
+    while node.children:
+        node = next(iter(node.children.values()))
+    return len(node.steps)
+
+
+def _depth_nodes(tree: HistoryTree, n: int):
+    """The depth-n nodes: one per label sequence the depth-n measures sum over."""
+    depth = _path_depth(tree)
+    if n > depth:
+        raise DepthExceeded(f"tree has depth {depth}, requested {n}")
+    return tree.levels[n]
 
 
 def check_sum_rule(tree: HistoryTree, root: State, x: np.ndarray | None = None) -> float:
@@ -386,16 +381,13 @@ def check_sum_rule(tree: HistoryTree, root: State, x: np.ndarray | None = None) 
     middle labels xi_{k+1}..xi_m (with the fixed tail folded into the
     conditioning operator) must reproduce the length-k marginal.  Labels
     outside a node's own event space carry zero projections and drop out by
-    construction of the enumeration.
+    construction of the enumeration.  A depth-m node extends a path's first
+    k labels exactly when it holds that path's k-th step object.
     """
-    paths = tree.step_paths()
-    if not paths:
-        return 0.0
-    n = len(paths[0])
+    n = _path_depth(tree)
     worst = 0.0
-    full = _unique_prefixes(paths, n)
-    for labels, path in full.items():
-        projs = [step[2] for step in path]
+    for node in tree.levels[n]:
+        projs = [step[2] for step in node.steps]
         for m in range(1, n + 1):
             tail = np.eye(root.dim, dtype=np.complex128)
             for p in projs[m:]:
@@ -404,10 +396,9 @@ def check_sum_rule(tree: HistoryTree, root: State, x: np.ndarray | None = None) 
             for k in range(1, m + 1):
                 rhs = history_measure(root, projs[:k], x_cond)
                 lhs = 0.0
-                for mid_labels, mid_path in _unique_prefixes(
-                    paths, m, match=labels[:k]
-                ).items():
-                    lhs += history_measure(root, [s[2] for s in mid_path], x_cond)
+                for mid in tree.levels[m]:
+                    if mid.steps[k - 1] is node.steps[k - 1]:
+                        lhs += history_measure(root, [s[2] for s in mid.steps], x_cond)
                 worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -416,13 +407,9 @@ def missing_information_per_event(tree: HistoryTree, root: State, n: int) -> flo
     """sigma_n = -(1/n) sum over depth-n label sequences of mu ln mu."""
     if n <= 0:
         return 0.0
-    paths = tree.step_paths()
-    depth = len(paths[0]) if paths else 0
-    if n > depth:
-        raise DepthExceeded(f"tree has depth {depth}, requested {n}")
     total = 0.0
-    for labels, path in _unique_prefixes(paths, n).items():
-        mu = history_measure(root, [s[2] for s in path])
+    for node in _depth_nodes(tree, n):
+        mu = history_measure(root, [s[2] for s in node.steps])
         if mu > 0.0:
             total -= mu * math.log(mu)
     return total / n
@@ -433,13 +420,9 @@ def relative_entropy_vs_reversed(root: State, tree: HistoryTree, n: int) -> floa
     reversed measure vanishes on the support of mu."""
     if n <= 0:
         return 0.0
-    paths = tree.step_paths()
-    depth = len(paths[0]) if paths else 0
-    if n > depth:
-        raise DepthExceeded(f"tree has depth {depth}, requested {n}")
     total = 0.0
-    for labels, path in _unique_prefixes(paths, n).items():
-        projs = [s[2] for s in path]
+    for node in _depth_nodes(tree, n):
+        projs = [s[2] for s in node.steps]
         mu = history_measure(root, projs)
         if mu <= MEASURE_FLOOR:
             continue
@@ -475,6 +458,22 @@ def _qubit_axis_projections(theta: float):
     plus = (np.eye(2) + n) / 2.0
     minus = (np.eye(2) - n) / 2.0
     return plus, minus
+
+
+def _filter_draws(weights, branch_click, seed: int, samples: int):
+    """The filter branch counts and the filter/click correlation of
+    ``samples`` draws from ``default_rng(seed)``.
+
+    Per sample, one uniform picks the filter branch on the Born row and the
+    next decides the click in that branch: two scalar draws in turn.
+    """
+    u = np.random.default_rng(seed).random((samples, 2))
+    b = inverse_cdf(np.broadcast_to(np.array(weights), (samples, 2)), u[:, 0], 1)
+    counts = tuple(np.bincount(b, minlength=2).tolist())
+    if not (counts[0] and counts[1]):
+        return counts, math.nan
+    clicks = u[:, 1] < np.array(branch_click)[b]
+    return counts, float(np.corrcoef(1.0 - 2.0 * b, 1.0 - 2.0 * clicks)[0, 1])
 
 
 def epr_demo(theta_filter: float = 0.0, seed: int = 0, samples: int = 10_000) -> EprReport:
@@ -534,20 +533,7 @@ def epr_demo(theta_filter: float = 0.0, seed: int = 0, samples: int = 10_000) ->
     ) @ c2
     branch_click = [float(st.expect(pointer1).real) for st in branch_states]
 
-    rng = np.random.default_rng(seed)
-    counts = [0, 0]
-    f_vals = np.empty(samples)
-    m_vals = np.empty(samples)
-    for i in range(samples):
-        b = 0 if rng.random() < weights[0] else 1
-        counts[b] += 1
-        f_vals[i] = 1.0 - 2.0 * b
-        m_vals[i] = 1.0 - 2.0 * (rng.random() < branch_click[b])
-    if samples and counts[0] and counts[1]:
-        corr = float(np.corrcoef(f_vals, m_vals)[0, 1])
-    else:
-        corr = math.nan
-
+    counts, corr = _filter_draws(weights, branch_click, seed, samples)
     return EprReport(
         theta_filter=theta_filter,
         unitary_marginals=tuple(marginals),
@@ -558,5 +544,5 @@ def epr_demo(theta_filter: float = 0.0, seed: int = 0, samples: int = 10_000) ->
         conditional_spin=tuple(cond_spin),
         samples=samples,
         empirical_correlation=corr,
-        branch_counts=tuple(counts),
+        branch_counts=counts,
     )

@@ -22,7 +22,7 @@ from .chain import (
 )
 from .errors import ParseError, ValidationError
 from .indirect import NdmScenario
-from .linalg import SIGMA_Z, WEIGHT_EPS
+from .linalg import DEFAULT_TOL, SIGMA_Z, WEIGHT_EPS, _norm_within, dagger
 from .recording import PhysicalQuantity, probe_pointer_quantity
 from .states import State
 
@@ -79,6 +79,8 @@ class Scenario:
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str):
+    if not isinstance(mapping, dict):
+        raise ValidationError(f"{where} must be an object")
     unknown = set(mapping) - allowed
     if unknown:
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -154,15 +156,16 @@ def parse_scenario_dict(doc: dict) -> Scenario:
             State(rho)
         except ValueError as exc:
             raise ValidationError(f"initial_state: {exc}") from exc
-    elif not isinstance(initial, str):
+    elif isinstance(initial, str):
+        system_density(initial, s)  # checked by building it once, as the gates are
+    else:
         raise ValidationError("initial_state must be a name or explicit entries")
     quantity = doc.get("quantity", {"name": "probe_z", "site": 1})
     if _quantity_name(quantity) != "probe_z":
         _quantity(quantity, s, p)  # checked by building it once, as the gates are
     conserved = doc.get("conserved", "system_z")
-    if isinstance(conserved, dict):
-        _reject_unknown(conserved, {"entries"}, "conserved")
-        _entries(conserved, "entries", "conserved")
+    if "conserved" in doc:
+        _conserved(conserved, s)
     raw_thr = doc.get("thresholds", {})
     _reject_unknown(raw_thr, _THRESHOLD_KEYS, "thresholds")
     thresholds = Thresholds(**{k: _real(v, k) for k, v in raw_thr.items()})
@@ -217,13 +220,12 @@ def emit_scenario(scn: Scenario) -> dict:
         if isinstance(scn.initial_state, str)
         else {"system_entries": scn.initial_state["system_entries"]},
         "quantity": dict(scn.quantity),
-        "conserved": scn.conserved
-        if isinstance(scn.conserved, str)
-        else {"entries": scn.conserved["entries"]},
         "thresholds": {"weight_eps": scn.thresholds.weight_eps},
         "seed": scn.seed,
         "runs": scn.runs,
     }
+    if scn.conserved != "system_z":
+        doc["conserved"] = scn.conserved
     if scn.steps is not None:
         doc["steps"] = scn.steps
     if scn.jumps:
@@ -262,14 +264,28 @@ def system_state_of(scn: Scenario) -> np.ndarray:
     )
 
 
+def _conserved(value, s: int) -> np.ndarray:
+    """The conserved system quantity of a ``conserved`` entry: ``system_z``
+    on a qubit, or explicit s x s Hermitian entries."""
+    if isinstance(value, str):
+        if value != "system_z":
+            raise ValidationError(f"unknown conserved quantity '{value}'")
+        if s != 2:
+            raise ValidationError("system_z requires system_dim = 2")
+        return np.array(SIGMA_Z)
+    if not isinstance(value, dict):
+        raise ValidationError("conserved must be a name or explicit entries")
+    _reject_unknown(value, {"entries"}, "conserved")
+    a = _entries(value, "entries", "conserved")
+    if a.shape != (s, s):
+        raise ValidationError(f"conserved must be {s}x{s}, got {a.shape}")
+    if not _norm_within(a - dagger(a), DEFAULT_TOL):
+        raise ValidationError("conserved quantity must be Hermitian")
+    return a
+
+
 def conserved_of(scn: Scenario) -> np.ndarray:
-    if isinstance(scn.conserved, str):
-        if scn.conserved == "system_z":
-            if scn.system_dim != 2:
-                raise ValidationError("system_z requires system_dim = 2")
-            return np.array(SIGMA_Z)
-        raise ValidationError(f"unknown conserved quantity '{scn.conserved}'")
-    return _parse_complex_matrix(scn.conserved["entries"], "conserved")
+    return _conserved(scn.conserved, scn.system_dim)
 
 
 def _quantity_name(q) -> str:

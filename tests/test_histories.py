@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import block_diag
 
 from ethsim import histories as hist
 from ethsim.chain import ChainModel, build_gate, chain_initial_state
@@ -448,6 +449,181 @@ class TestEntropies:
         assert abs(total - s_2) < 1e-12
 
 
+# The path formulas that read flattened leaf paths before each tree node
+# carried its own path: every depth-n label prefix was found by rescanning all
+# paths.  The node-based functions must return exactly what these return.
+
+
+def ref_step_paths(tree):
+    paths = []
+    eye = np.eye(tree.root.state.dim, dtype=np.complex128)
+    stack = [(tree.root, [])]
+    while stack:
+        node, acc = stack.pop()
+        if not node.children:
+            paths.append(acc)
+            continue
+        if node.event is None:
+            child = next(iter(node.children.values()))
+            stack.append((child, acc + [(node.t + 1, None, eye, 1.0)]))
+            continue
+        branches = []
+        for label, child in node.children.items():
+            k = node.event.labels.index(label)
+            step = (node.t + 1, label, node.event.projections[k], node.weights[k])
+            branches.append((child, acc + [step]))
+        stack.extend(reversed(branches))
+    return paths
+
+
+def ref_nodes_at_depth(tree, depth):
+    level = [tree.root]
+    for _ in range(depth):
+        level = [c for n in level for c in n.children.values()]
+    return level
+
+
+def ref_unique_prefixes(paths, length, match=None):
+    seen = {}
+    for p in paths:
+        if len(p) < length:
+            continue
+        labels = tuple(step[1] for step in p[:length])
+        if match is not None and labels[: len(match)] != match:
+            continue
+        seen.setdefault(labels, p[:length])
+    return seen
+
+
+def ref_check_sum_rule(tree, root, x=None):
+    paths = ref_step_paths(tree)
+    n = len(paths[0])
+    worst = 0.0
+    for labels, path in ref_unique_prefixes(paths, n).items():
+        projs = [step[2] for step in path]
+        for m in range(1, n + 1):
+            tail = np.eye(root.dim, dtype=np.complex128)
+            for p in projs[m:]:
+                tail = tail @ p
+            x_cond = tail if x is None else tail @ np.asarray(x, dtype=np.complex128)
+            for k in range(1, m + 1):
+                rhs = history_measure(root, projs[:k], x_cond)
+                lhs = 0.0
+                for mid_path in ref_unique_prefixes(paths, m, match=labels[:k]).values():
+                    lhs += history_measure(root, [s[2] for s in mid_path], x_cond)
+                worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def ref_depth_measures(tree, root, n):
+    """(sigma_n, S_n) over the depth-n label prefixes."""
+    sigma, rel = 0.0, 0.0
+    for path in ref_unique_prefixes(ref_step_paths(tree), n).values():
+        projs = [s[2] for s in path]
+        mu = history_measure(root, projs)
+        if mu > 0.0:
+            sigma -= mu * math.log(mu)
+        if mu > hist.MEASURE_FLOOR and rel != math.inf:
+            opp = reversed_measure(root, projs)
+            rel = math.inf if opp <= hist.MEASURE_FLOOR else rel + mu * (math.log(mu) - math.log(opp))
+    return sigma / n, rel
+
+
+def mixed_depth_model(rows):
+    """s=3, p=3, T=2 (d=27): step 1 records the system level k (weights 0.4,
+    0.36, 0.24) in probe 1, and step 2 then branches sector k with the Born
+    weights ``rows[k]``.  Pruned at 0.345, a sector whose weights all lie at
+    or below that keeps no child: its leaf is one step deep, its sibling's
+    two."""
+    shift = np.roll(np.eye(3), 1, axis=0)
+    record = block_diag(*(np.linalg.matrix_power(shift, k) for k in range(3)))
+    blocks = []
+    for q in rows:
+        m = np.eye(3)
+        m[:, 0] = np.sqrt(q)
+        u, r = np.linalg.qr(m)
+        blocks.append(u * np.sign(r[0, 0]))  # first column sqrt(q)
+    # |k, j> -> |j, j + k>: the probe keeps k, the system takes the outcome
+    perm = np.zeros((9, 9))
+    for k in range(3):
+        for j in range(3):
+            perm[3 * j + (j + k) % 3, 3 * k + j] = 1.0
+    gates = [record.astype(complex), (perm @ block_diag(*blocks)).astype(complex)]
+    init = chain_initial_state(np.diag([0.4, 0.36, 0.24]).astype(complex), 3, 3, 2)
+    return ChainModel(3, 3, 2, gates, init)
+
+
+FLAT, STEEP, MIDDLE = (0.34, 0.335, 0.325), (0.9, 0.06, 0.04), (0.5, 0.3, 0.2)
+TREE_MODELS = {
+    "cnot": lambda: build_model(resolve_scenario("cnot")),
+    "cnot_t3": lambda: build_model(resolve_scenario("cnot_t3")),
+    "partial_swap": lambda: build_model(resolve_scenario("partial_swap")),
+    "commuting": lambda: build_model(resolve_scenario("commuting")),
+    "epr": lambda: build_model(resolve_scenario("epr")),
+    "haar": haar_model,
+    "shallow_first": lambda: mixed_depth_model([FLAT, STEEP, MIDDLE]),
+    "deep_first": lambda: mixed_depth_model([STEEP, FLAT, MIDDLE]),
+}
+# every model at three prunings, and the two mixed-depth trees
+TREES = [(name, prune) for name in list(TREE_MODELS)[:6] for prune in (None, 0.3, 0.45)]
+TREES += [("shallow_first", 0.345), ("deep_first", 0.345)]
+
+
+@pytest.fixture(scope="module")
+def trees():
+    models = {name: make() for name, make in TREE_MODELS.items()}
+    return {
+        (name, prune): (models[name], enumerate_tree(models[name], prune_eps=prune))
+        for name, prune in TREES
+    }
+
+
+def test_mixed_depth_trees_have_mixed_leaf_depths(trees):
+    for name, depths in (("shallow_first", [1, 2]), ("deep_first", [2, 1])):
+        _, tree = trees[name, 0.345]
+        assert [len(leaf.steps) for leaf in tree.leaves()] == depths
+
+
+@pytest.mark.parametrize("name, prune", TREES)
+class TestNodePathsMatchPrefixRescans:
+    def test_step_paths_and_levels(self, trees, name, prune):
+        model, tree = trees[name, prune]
+        got, want = tree.step_paths(), ref_step_paths(tree)
+        assert [[s[:2] + s[3:] for s in p] for p in got] == [[s[:2] + s[3:] for s in p] for p in want]
+        for p, q in zip(got, want):
+            assert all(np.array_equal(a[2], b[2]) for a, b in zip(p, q))
+        assert [leaf.path_weight for leaf in tree.leaves()] == [
+            math.prod([s[3] for s in p], start=1.0) for p in want
+        ]
+        for d in range(model.horizon + 3):
+            assert [id(n) for n in tree.nodes_at_depth(d)] == [
+                id(n) for n in ref_nodes_at_depth(tree, d)
+            ]
+
+    def test_sum_rule(self, trees, name, prune):
+        model, tree = trees[name, prune]
+        root = model.initial_state
+        assert check_sum_rule(tree, root) == ref_check_sum_rule(tree, root)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((model.dim, model.dim)) + 1j * rng.standard_normal((model.dim, model.dim))
+        assert check_sum_rule(tree, root, x) == ref_check_sum_rule(tree, root, x)
+
+    def test_depth_measures(self, trees, name, prune):
+        model, tree = trees[name, prune]
+        root = model.initial_state
+        depth = len(ref_step_paths(tree)[0])
+        for n in range(1, depth + 1):
+            got = (
+                missing_information_per_event(tree, root, n),
+                relative_entropy_vs_reversed(root, tree, n),
+            )
+            assert got == ref_depth_measures(tree, root, n)
+        with pytest.raises(DepthExceeded):
+            missing_information_per_event(tree, root, depth + 1)
+        with pytest.raises(DepthExceeded):
+            relative_entropy_vs_reversed(root, tree, depth + 1)
+
+
 class TestMonteCarloConsistency:
     def test_chi_square_against_tree(self):
         model = cnot_model()
@@ -485,6 +661,38 @@ class TestEprDemo:
         np.testing.assert_allclose(
             rep.conditional_spin, [-np.cos(theta), np.cos(theta)], atol=1e-10
         )
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.1])
+    def test_draws_match_the_scalar_loop(self, theta, monkeypatch):
+        # the per-sample loop that drew the branch, then the click, as two
+        # scalar uniforms of one stream
+        def scalar_loop(weights, branch_click, seed, samples):
+            rng = np.random.default_rng(seed)
+            counts = [0, 0]
+            f_vals, m_vals = np.empty(samples), np.empty(samples)
+            for i in range(samples):
+                b = 0 if rng.random() < weights[0] else 1
+                counts[b] += 1
+                f_vals[i] = 1.0 - 2.0 * b
+                m_vals[i] = 1.0 - 2.0 * (rng.random() < branch_click[b])
+            if samples and counts[0] and counts[1]:
+                return tuple(counts), float(np.corrcoef(f_vals, m_vals)[0, 1])
+            return tuple(counts), math.nan
+
+        calls = []
+        draws = hist._filter_draws
+        monkeypatch.setattr(hist, "_filter_draws", lambda *a: calls.append(a) or draws(*a))
+        for seed in range(4):
+            rep = epr_demo(theta, seed=seed, samples=1500)
+            counts, corr = scalar_loop(*calls[-1])
+            assert rep.branch_counts == counts
+            assert repr(rep.empirical_correlation) == repr(corr)
+        # lopsided and one-sided weights, and no samples at all
+        for args in (((0.9, 0.1), (0.25, 0.75), 7, 400), ((0.0, 1.0), (0.5, 0.5), 1, 50),
+                     ((0.5, 0.5), (1.0, 0.0), 2, 0)):
+            counts, corr = hist._filter_draws(*args)
+            want = scalar_loop(*args)
+            assert counts == want[0] and repr(corr) == repr(want[1])
 
     def test_decoupled_filter_no_branching(self):
         # with no interaction the particle sectors stay coherent: the family

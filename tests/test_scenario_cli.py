@@ -86,6 +86,20 @@ MALFORMED = [
         "quantity (custom): a spectrum value must be a number",
     ),
     ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"thresholds": 5}, "thresholds must be an object"),
+    ({"thresholds": ["weight_eps"]}, "thresholds must be an object"),
+    ({"jumps": 5}, "jumps must be an object"),
+    ({"jumps": ["window"]}, "jumps must be an object"),
+    ({"conserved": 5}, "conserved must be a name or explicit entries"),
+    ({"conserved": "bogus"}, "unknown conserved quantity 'bogus'"),
+    ({"conserved": {"entries": _real_pairs([1, 2, 3])}}, "conserved must be 2x2, got (3, 3)"),
+    (
+        {"conserved": {"entries": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}},
+        "conserved quantity must be Hermitian",
+    ),
+    ({"system_dim": 4, "conserved": "system_z"}, "system_z requires system_dim = 2"),
+    ({"initial_state": "bogus"}, "unknown initial state 'bogus'"),
+    ({"initial_state": "singlet_pair"}, "singlet_pair requires system_dim = 4"),
 ]
 
 
