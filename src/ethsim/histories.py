@@ -36,7 +36,7 @@ from .chain import (
     gate_controlled_projection_flip,
     singlet_pair_density,
 )
-from .errors import DepthExceeded, OutOfRange, TreeTooLarge
+from .errors import DepthExceeded, OutOfRange, TreeTooLarge, ValidationError
 from .linalg import MEASURE_FLOOR, NEGATIVE_WEIGHT_TOL, SIGMA_X, SIGMA_Z, WEIGHT_EPS, WEIGHT_SUM_TOL
 from .linalg import embed_site_operator, kron_all
 from .states import (
@@ -292,12 +292,16 @@ def enumerate_tree(
     Each node's event family is recomputed from that node's collapsed state;
     pruned probability mass is tracked, never silently dropped.  A step
     without an actual event has one child, which is never pruned.
+    ``prune_eps`` defaults to ``weight_eps`` and may not lie below it: a
+    branch at or below ``weight_eps`` cannot be collapsed onto.
     """
     horizon = model.horizon if horizon is None else horizon
     if horizon > model.horizon:
         raise OutOfRange("horizon exceeds the model horizon")
     if prune_eps is None:
         prune_eps = weight_eps
+    if not prune_eps >= weight_eps:  # NaN fails too
+        raise ValidationError(f"prune_eps must be >= weight_eps {weight_eps}, got {prune_eps}")
     root = TreeNode(t=0, state=model.initial_state, path_weight=1.0)
     eye = np.eye(root.state.dim, dtype=np.complex128)
     count = 1
@@ -358,36 +362,29 @@ def reversed_measure(root: State, projections) -> float:
     return float(val.real)
 
 
-def _path_depth(tree: HistoryTree) -> int:
-    """The number of steps on the tree's first root-to-leaf path."""
-    node = tree.root
-    while node.children:
-        node = next(iter(node.children.values()))
-    return len(node.steps)
-
-
 def _depth_nodes(tree: HistoryTree, n: int):
     """The depth-n nodes: one per label sequence the depth-n measures sum over."""
-    depth = _path_depth(tree)
-    if n > depth:
-        raise DepthExceeded(f"tree has depth {depth}, requested {n}")
-    return tree.levels[n]
+    nodes = tree.nodes_at_depth(n)
+    if not nodes:
+        raise DepthExceeded(f"tree has no node at depth {n}")
+    return nodes
 
 
 def check_sum_rule(tree: HistoryTree, root: State, x: np.ndarray | None = None) -> float:
     """Largest violation of the marginalization identity over the tree.
 
-    For every path and every 1 <= k <= m <= n, summing the measure over the
-    middle labels xi_{k+1}..xi_m (with the fixed tail folded into the
-    conditioning operator) must reproduce the length-k marginal.  Labels
-    outside a node's own event space carry zero projections and drop out by
-    construction of the enumeration.  A depth-m node extends a path's first
-    k labels exactly when it holds that path's k-th step object.
+    For every root-to-leaf path of length n and every 1 <= k <= m <= n,
+    summing the measure over the middle labels xi_{k+1}..xi_m (with the
+    fixed tail folded into the conditioning operator) must reproduce the
+    length-k marginal.  Labels outside a node's own event space carry zero
+    projections and drop out by construction of the enumeration.  A depth-m
+    node extends a path's first k labels exactly when it holds that path's
+    k-th step object.  Each leaf is checked at its own depth.
     """
-    n = _path_depth(tree)
     worst = 0.0
-    for node in tree.levels[n]:
+    for node in tree.leaves():
         projs = [step[2] for step in node.steps]
+        n = len(projs)
         for m in range(1, n + 1):
             tail = np.eye(root.dim, dtype=np.complex128)
             for p in projs[m:]:

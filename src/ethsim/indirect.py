@@ -159,7 +159,7 @@ class NdmScenario:
 
 
 # A state graph holds at most this many nodes per run; one that would grow
-# past it starts again from the runs' current states.
+# past it starts again from the walking run's current state.
 NODES_PER_RUN = 4
 
 # ``_StateGraph.record`` gathers the records of this many runs at a time.
@@ -185,8 +185,8 @@ class _Branches:
     blocks: list[np.ndarray]  # each sector's eigenvectors of rho_post, as columns
     weights: np.ndarray  # sector weights, zero at or below weight_eps
     total: float  # sum of the weights
-    last: int  # last positive sector, where a draw past the total lands
-    fixed: int  # first positive sector, taken when the step does not branch
+    last: int  # last positive sector: where a draw past the total lands, and
+    # the one positive sector of a step that does not branch
     branched: bool  # two or more positive sectors: a Born draw
     trivial: bool  # one sector, the whole space: no event, no click
 
@@ -209,7 +209,6 @@ def _branch_stage(rho: np.ndarray, scn: NdmScenario) -> _Branches:
             f"no sector weight exceeds weight_eps {scn.weight_eps}: "
             f"the largest is {sector_weights.max():.6g}"
         )
-    kept = np.flatnonzero(weights)
     blocks = [vecs[:, level] for level in cluster_slices(labels)]
     return _Branches(
         sigma=sigma,
@@ -218,8 +217,7 @@ def _branch_stage(rho: np.ndarray, scn: NdmScenario) -> _Branches:
         weights=weights,
         total=float(total),
         last=last,
-        fixed=int(kept[0]),
-        branched=len(kept) >= 2,
+        branched=bool(np.count_nonzero(weights) >= 2),
         trivial=len(blocks) == 1,
     )
 
@@ -267,7 +265,7 @@ def _measurement_step(
     calls it; it stays here because ``bench/spans.py`` patches it by name.
     """
     br = _branch_stage(np.asarray(rho_s), scn)
-    sector = br.fixed
+    sector = br.last
     if br.branched:
         sector = int(inverse_cdf(br.weights, rng.random() * br.total, br.last))
     weight, pointer, new_rho = _collapse_onto(br, scn, sector)
@@ -388,8 +386,8 @@ class _StateGraph:
         self.rho: list[np.ndarray] = []
         self.br: list[_Branches] = []  # branch stage
         self.branched: list[bool] = []  # a step from the node makes a Born draw
-        self.fixed: list[int] = []  # the sector taken when it does not
-        self.last: list[int] = []  # where a branch draw past the total lands
+        self.last: list[int] = []  # where a branch draw past the total lands; the
+        # sector taken when the step does not branch
         self.total: list[float] = []  # sum of the sector weights
         self.cum: list[list[float]] = []  # running sums of the sector weights
         self.draws: list[int] = []  # uniforms a step from the node takes
@@ -417,7 +415,6 @@ class _StateGraph:
         self.rho.append(rho)
         self.br.append(br)
         self.branched.append(br.branched)
-        self.fixed.append(br.fixed)
         self.last.append(br.last)
         self.total.append(br.total)
         self.cum.append(br.weights.cumsum().tolist())
@@ -429,14 +426,13 @@ class _StateGraph:
         self.child += [-1] * s
         return node
 
-    def collapse(self, slots) -> None:
-        """Collapse each slot in ``slots`` once, in slot order; none is collapsed yet."""
+    def collapse(self, slot: int) -> None:
+        """Collapse ``slot``, which is not collapsed yet, and add its child."""
         s = self.scn.system_dim
-        for slot in sorted(set(slots)):
-            weight, pointer, rho = _collapse_onto(self.br[slot // s], self.scn, slot % s)
-            self.pointer[slot] = pointer
-            self.light[slot] = weight < 1.0 - CERTAIN_TOL
-            self.child[slot] = self.add(rho)
+        weight, pointer, rho = _collapse_onto(self.br[slot // s], self.scn, slot % s)
+        self.pointer[slot] = pointer
+        self.light[slot] = weight < 1.0 - CERTAIN_TOL
+        self.child[slot] = self.add(rho)
 
     def record(
         self,
@@ -488,12 +484,12 @@ def _ndm_runs(
     """Independent runs, walked one at a time through one shared state graph.
 
     ``drift``, a unitary on the system, rotates the state before each step.
-    Each round, every unfinished run walks on its own, in Python scalars read
-    from the ``_StateGraph`` tables, until it finishes or takes a (node,
-    sector) slot no run took before; the round's blocked slots are then
-    collapsed, each once.  A node that does not branch has one next slot, so
-    a stretch of such nodes that comes back to a node repeats until the run
-    ends: the rest of the run is that cycle, tiled.
+    Each run walks to its end on its own, in Python scalars read from the
+    ``_StateGraph`` tables; the first time any run takes a (node, sector)
+    slot, that slot is collapsed, and the walk goes on from its child.  A
+    node that does not branch has one next slot, so a stretch of such nodes
+    that comes back to a node repeats until the run ends: the rest of the
+    run is that cycle, tiled.
 
     Run r draws its uniforms up front,
     ``default_rng(seeds[r]).random(2 * steps)`` (a step takes at most two),
@@ -502,17 +498,21 @@ def _ndm_runs(
     the running weights at or below ``u * total``.  So every run is the one a
     loop of ``_measurement_step`` calls gives.  The records are gathered from
     the taken slots.  A graph about to hold more than ``NODES_PER_RUN`` nodes
-    per run starts again from the runs' current states, so a chain that never
+    per run is recorded and starts again from the walking run's state (and
+    the initial state, if runs are left to start), so a chain that never
     revisits a state holds O(runs) nodes, not O(runs * steps).
     """
     n_runs, s = len(seeds), scn.system_dim
     uniforms = np.concatenate([np.random.default_rng(seed).random(2 * steps) for seed in seeds])
     u = memoryview(uniforms)
+    rho0 = np.asarray(scn.initial_system.density)
     graph = _StateGraph(scn, drift)
-    at = [graph.add(np.asarray(scn.initial_system.density))] * n_runs
-    step = [0] * n_runs  # each run's next step
-    cursor = list(range(0, 2 * steps * n_runs, 2 * steps))  # each run's next uniform
-    first, mark = np.array(step), np.array(cursor)  # where each run stood when the graph began
+    start = graph.add(rho0)
+    branched, last, total, cum, draws, child = (
+        graph.branched, graph.last, graph.total, graph.cum, graph.draws, graph.child
+    )
+    first = np.zeros(n_runs, dtype=np.intp)  # where each run stood when the graph began
+    mark = np.arange(0, 2 * steps * n_runs, 2 * steps)  # and its next uniform then
     taken = np.zeros((n_runs, steps), dtype=np.intp)  # each step's slot
     rec = _Runs(
         values=np.zeros((n_runs, steps), dtype=np.intp),
@@ -521,51 +521,45 @@ def _ndm_runs(
         conserved_expectation=np.zeros((n_runs, steps)),
         light=np.zeros(n_runs, dtype=bool),
     )
-    live = list(range(n_runs))
-    while live:
-        branched, fixed, last, total = graph.branched, graph.fixed, graph.last, graph.total
-        cum, draws, child = graph.cum, graph.draws, graph.child
-        blocked = []  # the slot each unfinished run waits on
-        for r in live:
-            j, node, c = step[r], at[r], cursor[r]
-            path, seen = [], {}  # seen: non-branching nodes of this stretch, by path index
-            while j < steps:
-                if branched[node]:
-                    a = min(bisect_right(cum[node], u[c] * total[node]), last[node])
-                    if seen:
-                        seen = {}
-                else:
-                    start = seen.get(node)
-                    if start is not None:  # the rest of the run repeats path[start:]
-                        cycle = path[start:]
-                        taken[r, j:] = np.tile(cycle, (steps - j) // len(cycle) + 1)[: steps - j]
-                        j = steps
-                        break
-                    seen[node] = len(path)
-                    a = fixed[node]
-                slot = node * s + a
-                if child[slot] < 0:
-                    blocked.append(slot)
+    for r in range(n_runs):
+        j, node, c = 0, start, int(mark[r])  # the next step, node and uniform
+        path, seen = [], {}  # seen: non-branching nodes of this stretch, by path index
+        while j < steps:
+            if branched[node]:
+                a = min(bisect_right(cum[node], u[c] * total[node]), last[node])
+                if seen:
+                    seen = {}
+            else:
+                at = seen.get(node)
+                if at is not None:  # the rest of the run repeats path[at:]
+                    cycle = path[at:]
+                    taken[r, j:] = np.tile(cycle, (steps - j) // len(cycle) + 1)[: steps - j]
                     break
-                path.append(slot)
-                c += draws[node]
-                node = child[slot]
-                j += 1
-            taken[r, step[r] : step[r] + len(path)] = path
-            step[r], at[r], cursor[r] = j, node, c
-        live = [r for r in live if step[r] < steps]
-        if not live:
-            break
-        if len(graph) + len(set(blocked)) > NODES_PER_RUN * n_runs:
-            graph.record(rec, taken, first, np.array(step), uniforms, mark)
-            first, mark = np.array(step), np.array(cursor)
-            old, graph = graph, _StateGraph(scn, drift)
-            for r in live:
-                at[r] = graph.add(old.rho[at[r]])
-            # every unfinished run waits on one slot, in the order of ``live``
-            blocked = [at[r] * s + slot % s for r, slot in zip(live, blocked)]
-        graph.collapse(blocked)
-    graph.record(rec, taken, first, np.array(step), uniforms, mark)
+                seen[node] = len(path)
+                a = last[node]
+            slot = node * s + a
+            if child[slot] < 0:
+                if len(graph) >= NODES_PER_RUN * n_runs:
+                    taken[r, j - len(path) : j] = path
+                    stop = np.array([steps] * r + [j] + [0] * (n_runs - r - 1))
+                    graph.record(rec, taken, first, stop, uniforms, mark)
+                    first, mark[r] = stop, c
+                    old, graph = graph, _StateGraph(scn, drift)
+                    if r + 1 < n_runs:  # so that no later run's start grows a full graph
+                        start = graph.add(rho0)
+                    node = graph.add(old.rho[node])
+                    slot = node * s + a
+                    branched, last, total, cum, draws, child = (
+                        graph.branched, graph.last, graph.total, graph.cum, graph.draws, graph.child
+                    )
+                    path, seen = [], {}
+                graph.collapse(slot)
+            path.append(slot)
+            c += draws[node]
+            node = child[slot]
+            j += 1
+        taken[r, j - len(path) : j] = path
+    graph.record(rec, taken, first, np.full(n_runs, steps), uniforms, mark)
     return rec
 
 

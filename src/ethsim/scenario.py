@@ -1,7 +1,8 @@
 """Scenario files: strict JSON, unknown keys rejected, complex entries as
 [re, im] pairs.  A scenario pins everything a run needs: chain dimensions,
 step gates, the initial system state, the recorded quantity, thresholds and
-the seed, so identical files reproduce identical traces.
+the seed, so identical files reproduce identical traces with one NumPy and
+BLAS build (across machines, only up to the rounding of BLAS results).
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Deterministic trace records.
 
-One JSON object per line, numbers with 17 significant digits, so identical
-scenario + seed reproduces byte-identical files on any platform.
+One JSON object per line, numbers with 17 significant digits.  An identical
+scenario and seed reproduce byte-identical files with one NumPy and BLAS
+build.  Across machines the last bits of a printed weight may differ, since
+OpenBLAS picks its kernels by CPU.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from scipy.linalg import block_diag
 
 from ethsim import histories as hist
 from ethsim.chain import ChainModel, build_gate, chain_initial_state
-from ethsim.errors import DepthExceeded, OutOfRange, TreeTooLarge
+from ethsim.errors import DepthExceeded, OutOfRange, TreeTooLarge, ValidationError
 from ethsim.histories import (
     History,
     HistoryStep,
@@ -282,6 +282,30 @@ class TestEnumerateTree:
         assert abs(tree.pruned_mass - 1.0) < 1e-9
         assert not tree.root.children
 
+    @pytest.mark.parametrize("prune", [-1.0, math.nan, 0.0, WEIGHT_EPS / 2])
+    def test_prune_below_weight_eps_is_refused(self, prune):
+        # a branch kept above such a prune but at or below weight_eps could
+        # not be collapsed onto
+        with pytest.raises(ValidationError, match="prune_eps must be >= weight_eps") as err:
+            enumerate_tree(cnot_model(), prune_eps=prune)
+        assert str(WEIGHT_EPS) in str(err.value) and f"got {prune}" in str(err.value)
+
+    def test_light_branch_is_pruned_at_weight_eps(self):
+        # s = p = 3: one system level weighs 1e-10, below weight_eps
+        rho = np.diag([0.6, 0.3999999999, 1e-10]).astype(complex)
+        g = build_gate("cnot", 3, 3)
+        model = ChainModel(3, 3, 2, [g, g], chain_initial_state(rho, 3, 3, 2))
+        tree = enumerate_tree(model)
+        assert tree.prune_eps == WEIGHT_EPS
+        assert [len(leaf.steps) for leaf in tree.leaves()] == [2, 2]
+        assert tree.pruned_mass == pytest.approx(1e-10, rel=1e-6)
+        at_eps = enumerate_tree(model, prune_eps=WEIGHT_EPS)
+        assert [leaf.path_weight for leaf in at_eps.leaves()] == [
+            leaf.path_weight for leaf in tree.leaves()
+        ]
+        with pytest.raises(ValidationError, match="prune_eps must be >= weight_eps"):
+            enumerate_tree(model, prune_eps=0.0)
+
     def test_node_guard(self):
         with pytest.raises(TreeTooLarge):
             enumerate_tree(pswap_model(), max_nodes=3)
@@ -497,7 +521,7 @@ def ref_unique_prefixes(paths, length, match=None):
 
 def ref_check_sum_rule(tree, root, x=None):
     paths = ref_step_paths(tree)
-    n = len(paths[0])
+    n = max(len(p) for p in paths)
     worst = 0.0
     for labels, path in ref_unique_prefixes(paths, n).items():
         projs = [step[2] for step in path]
@@ -584,6 +608,31 @@ def test_mixed_depth_trees_have_mixed_leaf_depths(trees):
         assert [len(leaf.steps) for leaf in tree.leaves()] == depths
 
 
+def test_mixed_depth_trees_reach_the_same_depths(trees, monkeypatch):
+    # the two trees differ only in the order of their children: the sum rule
+    # and the depth-n measures must cover depths 1 and 2 on both
+    measure = hist.history_measure
+    for name in ("shallow_first", "deep_first"):
+        model, tree = trees[name, 0.345]
+        root = model.initial_state
+        lengths = set()
+
+        def spy(root, projections, x=None):
+            lengths.add(len(projections))
+            return measure(root, projections, x)
+
+        monkeypatch.setattr(hist, "history_measure", spy)
+        check_sum_rule(tree, root)  # pruned, so the rule misses the pruned mass
+        assert lengths == {1, 2}, name
+        for n in (1, 2):
+            assert missing_information_per_event(tree, root, n) > 0.0
+            assert math.isfinite(relative_entropy_vs_reversed(root, tree, n))
+        with pytest.raises(DepthExceeded):
+            missing_information_per_event(tree, root, 3)
+        with pytest.raises(DepthExceeded):
+            relative_entropy_vs_reversed(root, tree, 3)
+
+
 @pytest.mark.parametrize("name, prune", TREES)
 class TestNodePathsMatchPrefixRescans:
     def test_step_paths_and_levels(self, trees, name, prune):
@@ -611,7 +660,7 @@ class TestNodePathsMatchPrefixRescans:
     def test_depth_measures(self, trees, name, prune):
         model, tree = trees[name, prune]
         root = model.initial_state
-        depth = len(ref_step_paths(tree)[0])
+        depth = max(len(p) for p in ref_step_paths(tree))
         for n in range(1, depth + 1):
             got = (
                 missing_information_per_event(tree, root, n),

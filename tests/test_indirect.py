@@ -802,3 +802,66 @@ class TestDriverCost:
         assert set(rec.values[:, 0].tolist()) == {0, 1}  # both sectors taken
         assert sum(len(graph) for graph in graphs) >= steps  # a new state at every step
         assert max(sizes) <= 4 * runs
+
+
+def collapse_calls(monkeypatch):
+    """Every ``_StateGraph.collapse`` call the driver makes, as (graph, slot)."""
+    calls = []
+    collapse = indirect._StateGraph.collapse
+
+    def spy(graph, slot):
+        calls.append((graph, slot))
+        return collapse(graph, slot)
+
+    monkeypatch.setattr(indirect._StateGraph, "collapse", spy)
+    return calls
+
+
+class TestWalk:
+    """Each run walks to its end, and a (node, sector) slot is collapsed the
+    first time any run takes it."""
+
+    @pytest.mark.parametrize("shape", ["ndm_noisy", "jumps"])
+    def test_each_call_collapses_one_new_slot(self, shape, monkeypatch):
+        calls = collapse_calls(monkeypatch)
+        if shape == "ndm_noisy":
+            scn = build_ndm(resolve_scenario("ndm_noisy"), runs=100, steps=400)
+            _ndm_runs(scn, list(range(100)), 400)
+        else:
+            weak_measurement_trajectory(jumps_scenario(2000), 0.05, 2000, 25, seed=0)
+        assert calls
+        assert all(type(slot) is int for _, slot in calls)
+        assert len({(id(graph), slot) for graph, slot in calls}) == len(calls)
+
+    def test_batched_runs_equal_lone_calls_across_a_restart(self, monkeypatch):
+        # a lone ndm_noisy run meets more states than one graph holds for
+        # one run, so it restarts; twenty runs share one graph
+        graphs = count_graphs(monkeypatch)
+        scn = build_ndm(resolve_scenario("ndm_noisy"), runs=20, steps=400)
+        seeds = [int(seed) for seed in np.random.SeedSequence(11).generate_state(20)]
+        batch = _ndm_runs(scn, seeds, 400)
+        assert len(graphs) == 1
+        for r, seed in enumerate(seeds):
+            del graphs[:]
+            lone = _ndm_runs(scn, [seed], 400)
+            assert len(graphs) == 2
+            for name in ("values", "branched", "purification", "conserved_expectation", "light"):
+                assert np.array_equal(getattr(batch, name)[r], getattr(lone, name)[0]), (r, name)
+
+    def test_runs_started_after_a_restart_keep_the_bound(self, monkeypatch):
+        # a restart leaves runs to start from the initial state; the new
+        # graph holds it already, so no run's start grows a full graph
+        sizes = []
+        add = indirect._StateGraph.add
+
+        def counted(graph, rho):
+            node = add(graph, rho)
+            sizes.append(len(graph))
+            return node
+
+        monkeypatch.setattr(indirect._StateGraph, "add", counted)
+        graphs = count_graphs(monkeypatch)
+        rec = _ndm_runs(never_revisiting_scenario(3, 500), [0, 1, 2], 500)
+        assert len(graphs) >= 2
+        assert max(sizes) <= 4 * 3
+        assert_runs_equal_lone_steps(never_revisiting_scenario(3, 500), [0, 1, 2], rec)

@@ -229,6 +229,19 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "pruned_mass = 1" in out
 
+    @pytest.mark.parametrize("prune", ["-1", "nan", "0", "5e-9"])
+    def test_tree_prune_below_weight_eps_is_one_error_line(self, prune, capsys):
+        assert main(["tree", "--scenario", "cnot", "--prune", prune]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: prune_eps must be >= weight_eps 1e-08, got ")
+        assert err.count("\n") == 1
+
+    def test_tree_prune_at_weight_eps_is_the_default(self, capsys):
+        assert main(["tree", "--scenario", "cnot"]) == 0
+        default = capsys.readouterr().out
+        assert main(["tree", "--scenario", "cnot", "--prune", "1e-8"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_tree_csv(self, tmp_path):
         out = tmp_path / "tree.csv"
         assert main(["tree", "--scenario", "cnot", "--out", str(out)]) == 0
