@@ -25,7 +25,7 @@ from .linalg import (
     SVD_TOL,
     cluster_slices,
     clustered_eigh,
-    hermitian_eig,
+    freeze,
     hs_norm,
     identity,
 )
@@ -335,9 +335,11 @@ def minimal_projections(algebra: StarAlgebra, rng_seed: int = 0) -> tuple[np.nda
     """The unique family of disjoint projections spanning an abelian algebra.
 
     Spectrally decomposes a random Hermitian combination of the basis with
-    generic, seed-dependent coefficients.  Each resulting projection is
-    membership-checked; a failure (non-generic draw) raises
-    GenericityFailure so the caller can retry with a new seed.
+    generic, seed-dependent coefficients: its clustered eigenspaces
+    (``clustered_eigh``) give the projections.  A draw with fewer levels than
+    the algebra's dimension, or a projection that leaves the algebra, is not
+    generic and raises GenericityFailure so the caller can retry with a new
+    seed.
     """
     if not is_abelian(algebra):
         raise NotAbelian("minimal projections require an abelian algebra")
@@ -345,17 +347,18 @@ def minimal_projections(algebra: StarAlgebra, rng_seed: int = 0) -> tuple[np.nda
     k = algebra.dim
     c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     g = np.tensordot(c, algebra.tensor, axes=(0, 0))
-    h = (g + g.conj().T) / 2.0
-    eig = hermitian_eig(h, tol=MEMBER_TOL)
-    if len(eig.projections) != k:
+    _, vecs, labels = clustered_eigh((g + g.conj().T) / 2.0)
+    levels = cluster_slices(labels)
+    if len(levels) != k:
         raise GenericityFailure(
-            f"random combination produced {len(eig.projections)} levels for a "
+            f"random combination produced {len(levels)} levels for a "
             f"{k}-dimensional algebra"
         )
-    for p in eig.projections:
+    projections = [freeze(vecs[:, lv] @ vecs[:, lv].conj().T) for lv in levels]
+    for p in projections:
         if not contains(algebra, p):
             raise GenericityFailure("an eigenprojection left the algebra span")
-    return tuple(_canonical_projection_order(eig.projections))
+    return tuple(_canonical_projection_order(projections))
 
 
 def minimal_projections_retry(algebra: StarAlgebra, rng_seed: int = 0) -> tuple[np.ndarray, ...]:

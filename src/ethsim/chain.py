@@ -39,7 +39,7 @@ from .linalg import (
     kron_all,
     partial_trace,
 )
-from .states import EventDetection, State, _order_event
+from .states import EventDetection, State, _order_event, is_actual
 
 DIMENSION_CAP = 4096
 
@@ -311,14 +311,12 @@ class ChainModel:
             projections.append(c.conj().T @ p_full @ c)
             weights.append(max(0.0, float(np.sum(vals[level]))))
         family, ws = _order_event(projections, weights, t)
-        positive = sum(1 for w in ws if w > weight_eps)
-        actual = len(ws) >= 2 and positive >= 2
         return EventDetection(
             centralizer=None,
             center_of_centralizer=None,
             event=family,
             weights=ws,
-            actual=actual,
+            actual=is_actual(ws, weight_eps),
         )
 
     # -- filtration checks ----------------------------------------------------

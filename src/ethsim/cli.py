@@ -273,9 +273,7 @@ def cmd_verify(scn: Scenario, args) -> int:
 
 
 def cmd_ndm(scn: Scenario, args) -> int:
-    runs = args.runs if args.runs is not None else scn.runs
-    steps = args.steps if args.steps is not None else (scn.steps or 25)
-    ndm = build_ndm(scn, runs=runs, steps=steps)
+    ndm = build_ndm(scn, runs=args.runs, steps=args.steps)
     seed = args.seed if args.seed is not None else scn.seed
     report = indirect.ndm_experiment(ndm, master_seed=seed)
     if args.trace:
@@ -295,8 +293,8 @@ def cmd_ndm(scn: Scenario, args) -> int:
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(_ndm_csv(report.runs))
-    print(f"runs                = {runs}")
-    print(f"steps               = {steps}")
+    print(f"runs                = {ndm.runs}")
+    print(f"steps               = {ndm.steps}")
     print(f"classified_counts   = {report.classified_counts.tolist()}")
     print(f"empirical           = {np.round(report.empirical_distribution, 6).tolist()}")
     print(f"born_exact          = {np.round(report.born_exact, 6).tolist()}")

@@ -36,7 +36,7 @@ from .chain import (
     gate_controlled_projection_flip,
     singlet_pair_density,
 )
-from .errors import DepthExceeded, OutOfRange, TreeTooLarge, ValidationError
+from .errors import DepthExceeded, TreeTooLarge, ValidationError
 from .linalg import MEASURE_FLOOR, NEGATIVE_WEIGHT_TOL, SIGMA_X, SIGMA_Z, WEIGHT_EPS, WEIGHT_SUM_TOL
 from .linalg import embed_site_operator, kron_all
 from .states import (
@@ -58,20 +58,6 @@ def _detect(model: ChainModel, state: State, t: int, weight_eps: float, engine: 
     if engine == "generic":
         return detect_event(state, model.algebra_at(t), t, weight_eps)
     raise ValueError(f"unknown detection engine '{engine}'")
-
-
-def _born_cdf(weights, weight_eps: float):
-    """A node's Born weights, normalised over those above ``weight_eps``
-    (the rest zeroed), and the last index kept.
-
-    For the n runs that stand on the node, with their uniforms in ``u``,
-    ``inverse_cdf(np.broadcast_to(born, (n, born.size)), u, last)`` is then
-    every run's branch in one call: each broadcast row has the running sums
-    of the lone row, so run i takes the branch ``inverse_cdf(born, u[i],
-    last)`` would give it.  Zero-weight branches are never chosen.
-    """
-    masked, total, last = positive_weights(weights, weight_eps)
-    return masked / total, last
 
 
 @dataclass(frozen=True)
@@ -145,23 +131,21 @@ def missing_information(weights) -> float:
 
 def sample_history(
     model: ChainModel,
-    horizon: int | None = None,
     seed: int = 0,
     weight_eps: float = WEIGHT_EPS,
     engine: str = "reduced",
 ) -> History:
-    """One Born-rule sample of the branching process up to ``horizon``.
+    """One Born-rule sample of the branching process over the model's horizon.
 
     Steps without an actual event leave the state untouched; the state only
     changes through collapse.
     """
-    return sample_histories(model, [seed], horizon, weight_eps, engine)[0]
+    return sample_histories(model, [seed], weight_eps, engine)[0]
 
 
 def sample_histories(
     model: ChainModel,
     seeds,
-    horizon: int | None = None,
     weight_eps: float = WEIGHT_EPS,
     engine: str = "reduced",
 ) -> list[History]:
@@ -172,20 +156,19 @@ def sample_histories(
     by the tree node they stand on.  Each distinct node is expanded once, and
     each distinct branch of it collapsed and fingerprinted once into a step
     that every run taking that branch shares.  Each run draws its uniforms
-    from its own ``default_rng(seed)``, one per actual event, on the
-    normalised Born weights, as a lone run does; the branches of all the
-    runs on one node are then chosen by one ``inverse_cdf`` call.  Only the
-    states of the current depth are held.
+    from its own ``default_rng(seed)``, one per actual event, as a lone run
+    does.  The branch is the one Born draw of every walker (``inverse_cdf``):
+    the node's weights masked by ``positive_weights``, and each uniform
+    scaled by their total.  Every run on one node draws in one call, on the
+    masked row broadcast to one row per run, and each broadcast row has the
+    lone row's running sums.  Only the states of the current depth are held.
     """
-    horizon = model.horizon if horizon is None else horizon
-    if horizon > model.horizon:
-        raise OutOfRange("horizon exceeds the model horizon")
     seeds = list(seeds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     steps = [[] for _ in seeds]
     # the nodes of the current depth: (state, indices of the runs on it)
     level = [(model.initial_state, range(len(seeds)))] if seeds else []
-    for t in range(1, horizon + 1):
+    for t in range(1, model.horizon + 1):
         below = []
         for state, runs in level:
             node = _expand(model, state, t, weight_eps, engine)
@@ -193,10 +176,10 @@ def sample_histories(
                 taken = {0: runs}
             else:
                 # each run's uniform from its own stream, in run order, then
-                # every run's branch from one draw on the broadcast Born row
-                u = np.array([rngs[r].random() for r in runs])
-                born, last = _born_cdf(node.weights, weight_eps)
-                chosen = inverse_cdf(np.broadcast_to(born, (len(runs), born.size)), u, last)
+                # every run's branch from one draw on the broadcast masked row
+                masked, total, last = positive_weights(node.weights, weight_eps)
+                u = np.array([rngs[r].random() for r in runs]) * total
+                chosen = inverse_cdf(np.broadcast_to(masked, (len(runs), masked.size)), u, last)
                 taken: dict[int, list[int]] = {}
                 for r, k in zip(runs, chosen.tolist()):
                     taken.setdefault(k, []).append(r)
@@ -280,14 +263,13 @@ class HistoryTree:
 
 def enumerate_tree(
     model: ChainModel,
-    horizon: int | None = None,
     prune_eps: float | None = None,
     weight_eps: float = WEIGHT_EPS,
     engine: str = "reduced",
     max_nodes: int = 100_000,
 ) -> HistoryTree:
     """Every branch with weight above ``prune_eps``, expanded one depth at a
-    time.
+    time up to the model's horizon.
 
     Each node's event family is recomputed from that node's collapsed state;
     pruned probability mass is tracked, never silently dropped.  A step
@@ -295,9 +277,6 @@ def enumerate_tree(
     ``prune_eps`` defaults to ``weight_eps`` and may not lie below it: a
     branch at or below ``weight_eps`` cannot be collapsed onto.
     """
-    horizon = model.horizon if horizon is None else horizon
-    if horizon > model.horizon:
-        raise OutOfRange("horizon exceeds the model horizon")
     if prune_eps is None:
         prune_eps = weight_eps
     if not prune_eps >= weight_eps:  # NaN fails too
@@ -307,7 +286,7 @@ def enumerate_tree(
     count = 1
     pruned = 0.0
     levels = [[root]]
-    for t in range(1, horizon + 1):
+    for t in range(1, model.horizon + 1):
         below = []
         for parent in levels[-1]:
             node = _expand(model, parent.state, t, weight_eps, engine)
@@ -329,7 +308,7 @@ def enumerate_tree(
                 if count > max_nodes:
                     raise TreeTooLarge(f"tree exceeded {max_nodes} nodes")
         levels.append(below)
-    return HistoryTree(root, levels, horizon, prune_eps, pruned, count)
+    return HistoryTree(root, levels, model.horizon, prune_eps, pruned, count)
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +440,13 @@ def _filter_draws(weights, branch_click, seed: int, samples: int):
     """The filter branch counts and the filter/click correlation of
     ``samples`` draws from ``default_rng(seed)``.
 
-    Per sample, one uniform picks the filter branch on the Born row and the
-    next decides the click in that branch: two scalar draws in turn.
+    Per sample, one uniform picks the filter branch by the walkers' Born draw
+    (``inverse_cdf`` on the masked row, the uniform scaled by its total) and
+    the next decides the click in that branch: two scalar draws in turn.
     """
     u = np.random.default_rng(seed).random((samples, 2))
-    b = inverse_cdf(np.broadcast_to(np.array(weights), (samples, 2)), u[:, 0], 1)
+    masked, total, last = positive_weights(weights, WEIGHT_EPS)
+    b = inverse_cdf(np.broadcast_to(masked, (samples, masked.size)), u[:, 0] * total, last)
     counts = tuple(np.bincount(b, minlength=2).tolist())
     if not (counts[0] and counts[1]):
         return counts, math.nan

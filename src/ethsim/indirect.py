@@ -52,7 +52,7 @@ from .linalg import (
     partial_trace,
 )
 from .recording import PhysicalQuantity
-from .states import State, inverse_cdf, positive_weights
+from .states import State, inverse_cdf, is_actual, positive_weights
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ def _branch_stage(rho: np.ndarray, scn: NdmScenario) -> _Branches:
         weights=weights,
         total=float(total),
         last=last,
-        branched=bool(np.count_nonzero(weights) >= 2),
+        branched=is_actual(sector_weights, scn.weight_eps),
         trivial=len(blocks) == 1,
     )
 
@@ -493,14 +493,16 @@ def _ndm_runs(
 
     Run r draws its uniforms up front,
     ``default_rng(seeds[r]).random(2 * steps)`` (a step takes at most two),
-    and uses them in the order a lone run would.  A branch draw is
-    ``inverse_cdf`` on one row in the same arithmetic: ``bisect_right`` counts
-    the running weights at or below ``u * total``.  So every run is the one a
-    loop of ``_measurement_step`` calls gives.  The records are gathered from
-    the taken slots.  A graph about to hold more than ``NODES_PER_RUN`` nodes
-    per run is recorded and starts again from the walking run's state (and
-    the initial state, if runs are left to start), so a chain that never
-    revisits a state holds O(runs) nodes, not O(runs * steps).
+    and uses them in the order a lone run would.  A branch draw is every
+    walker's Born draw (``states.inverse_cdf`` on the masked sector weights,
+    the uniform scaled by their total) in the same arithmetic:
+    ``bisect_right`` counts the running weights at or below ``u * total``.
+    So every run is the one a loop of ``_measurement_step`` calls gives.  The
+    records are gathered from the taken slots.  A graph about to hold more
+    than ``NODES_PER_RUN`` nodes per run is recorded and starts again from
+    the walking run's state (and the initial state, if runs are left to
+    start), so a chain that never revisits a state holds O(runs) nodes, not
+    O(runs * steps).
     """
     n_runs, s = len(seeds), scn.system_dim
     uniforms = np.concatenate([np.random.default_rng(seed).random(2 * steps) for seed in seeds])
@@ -634,10 +636,11 @@ def run_protocol(
     """Repeated projective recording along a chain model.
 
     Per step: expand the node as the history walkers do (``histories._expand``);
-    on an actual event, draw ``u * total`` on the unnormalised Born weights
-    and collapse onto that branch.  The recorded value is the pointer of the
-    step's probe read after its interaction: sampled from the distribution of
-    ``quantity`` in the system x probe j reduction of U(j,0) Omega U(j,0)*.
+    on an actual event, draw the branch as every walker does (``u * total``
+    on the masked Born weights) and collapse onto it.  The recorded value is
+    the pointer of the step's probe read after its interaction: sampled from
+    the distribution of ``quantity`` in the system x probe j reduction of
+    U(j,0) Omega U(j,0)*.
     Steps whose event has one sector, the whole space, record the null
     outcome 0 and draw nothing.
     """

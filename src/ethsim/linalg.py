@@ -127,8 +127,8 @@ def _norm_within(a, tol: float, m: np.ndarray | None = None, lower: float | None
     return exact <= tol * (1.0 + (0.0 if m is None else operator_norm(m)))
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return _norm_within(m - dagger(m), tol, m)
+def is_hermitian(m: np.ndarray) -> bool:
+    return _norm_within(m - dagger(m), DEFAULT_TOL, m)
 
 
 def is_projection(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -151,17 +151,17 @@ class HermitianEigensystem:
 def clustered_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigendecomposition of the Hermitian part of ``m`` with clustered levels.
 
-    ``m`` is one matrix or a stack.  Returns the ascending eigenvalues, the
-    eigenvectors (columns) and each eigenvalue's cluster label: labels start
-    at 0 and step up wherever two neighbouring eigenvalues are more than
+    Returns the ascending eigenvalues, the eigenvectors (columns) and each
+    eigenvalue's cluster label: labels start at 0 and step up wherever two
+    neighbouring eigenvalues are more than
     ``CLUSTER_TOL * (1 + max|eigenvalue|)`` apart.  The threshold must be
     generous enough that numerically split degeneracies stay one level,
     otherwise centre detection downstream breaks.
     """
     vals, vecs = np.linalg.eigh((m + dagger(m)) / 2.0)
-    gap = CLUSTER_TOL * (1.0 + np.abs(vals).max(axis=-1, keepdims=True))
+    gap = CLUSTER_TOL * (1.0 + np.abs(vals).max())
     labels = np.zeros(vals.shape, dtype=np.intp)
-    labels[..., 1:] = (vals[..., 1:] - vals[..., :-1] > gap).cumsum(axis=-1)
+    labels[1:] = (vals[1:] - vals[:-1] > gap).cumsum()
     return vals, vecs, labels
 
 
@@ -171,15 +171,15 @@ def cluster_slices(labels: np.ndarray) -> list[slice]:
     return [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
 
 
-def hermitian_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigensystem:
+def hermitian_eig(m: np.ndarray) -> HermitianEigensystem:
     """Spectral decomposition with near-degenerate eigenvalues merged.
 
-    ``m`` must be Hermitian within ``tol * (1 + ||m||)``; its levels are the
-    clusters of ``clustered_eigh``.
+    ``m`` must be Hermitian within ``DEFAULT_TOL * (1 + ||m||)``; its levels
+    are the clusters of ``clustered_eigh``.
     """
     m = np.asarray(m, dtype=np.complex128)
-    if not is_hermitian(m, tol):
-        raise NotHermitian(f"matrix is not Hermitian within {tol}")
+    if not is_hermitian(m):
+        raise NotHermitian(f"matrix is not Hermitian within {DEFAULT_TOL}")
     vals, vecs, labels = clustered_eigh(m)
     eigenvalues: list[float] = []
     projections: list[np.ndarray] = []
@@ -216,24 +216,17 @@ def embed_site_operator(op: np.ndarray, site: int, site_dims) -> np.ndarray:
 
 
 def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
-    """Trace out all factors except ``keep`` (indices into ``dims``, order kept).
-
-    ``rho`` is one matrix or a stack of them (leading axes are kept).
-    """
+    """Trace out all factors except ``keep`` (indices into ``dims``, order kept)."""
     dims = list(dims)
     keep = sorted(keep)
     n = len(dims)
-    rho = np.asarray(rho)
-    batch = list(rho.shape[:-2])
     # einsum label layout: row axes 0..n-1, column axes n..2n-1
-    row = list(range(n))
     col = [i + n if i in keep else i for i in range(n)]
-    out_labels = keep + [i + n for i in keep]
     out = np.einsum(
-        rho.reshape(batch + dims + dims), [Ellipsis, *row, *col], [Ellipsis, *out_labels]
+        np.asarray(rho).reshape(dims + dims), [*range(n), *col], keep + [i + n for i in keep]
     )
     d = math.prod(dims[i] for i in keep)
-    return out.reshape(batch + [d, d])
+    return out.reshape(d, d)
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

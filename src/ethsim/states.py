@@ -128,6 +128,11 @@ def born_weights(omega: State, event: EventFamily) -> list[float]:
     return weights
 
 
+def is_actual(weights, weight_eps: float) -> bool:
+    """The actuality rule: at least two weights lie above ``weight_eps``."""
+    return sum(1 for w in weights if w > weight_eps) >= 2
+
+
 def positive_weights(weights, weight_eps: float) -> tuple[np.ndarray, float, int]:
     """Born weights with those at or below ``weight_eps`` set to zero, their
     total summed in branch order, and the index of the last weight kept (-1
@@ -141,10 +146,13 @@ def inverse_cdf(weights: np.ndarray, u, last):
     """The Born draw: the first index whose running weight exceeds ``u``, or
     ``last`` when none does (``u`` rounded up to the total).
 
-    ``weights`` is one weight vector with a scalar ``u``, or a stack of rows
-    with one ``u`` per row.  Weights are non-negative, so the running sums
-    never decrease and the first index past ``u`` is the number of running
-    sums at or below it; that index always carries positive weight.
+    Every walker draws a branch by one rule: ``positive_weights`` masks the
+    weights, the uniform is scaled by their total, and this call picks the
+    branch.  ``weights`` is one weight vector with a scalar ``u``, or a stack
+    of rows with one ``u`` per row, such as one row broadcast to the runs on
+    a node.  Weights are non-negative, so the running sums never decrease and
+    the first index past ``u`` is the number of running sums at or below it;
+    that index always carries positive weight.
     """
     # transposed, a stack's running sums meet their own row's u by broadcasting
     passed = (weights.cumsum(axis=-1).T <= u).sum(axis=0)
@@ -320,8 +328,8 @@ def detect_event(
 
     Computes the center of the centralizer of the state on the future algebra,
     extracts its minimal projections, evaluates Born weights, and applies the
-    actuality criterion: a non-trivial center and at least two weights above
-    ``weight_eps``.
+    actuality rule ``is_actual``: at least two weights above ``weight_eps``,
+    which needs a center of dimension two or more.
     """
     if not 0.0 < weight_eps < 0.5:
         raise ValueError("weight_eps must lie in (0, 0.5)")
@@ -330,8 +338,7 @@ def detect_event(
     projections = alg.minimal_projections_retry(z)
     weights = [max(0.0, float(omega.expect(p).real)) for p in projections]
     family, ws = _order_event(list(projections), weights, t)
-    positive = sum(1 for w in ws if w > weight_eps)
-    actual = z.dim >= 2 and positive >= 2
+    actual = is_actual(ws, weight_eps)
     residual = incoherence_residual(omega, future_algebra, family) if actual else 0.0
     return EventDetection(
         centralizer=centralizer,

@@ -18,7 +18,7 @@ from ethsim.algebra import (
     scalar_algebra,
     span_equal,
 )
-from ethsim.errors import DimensionMismatch, NotAbelian
+from ethsim.errors import DimensionMismatch, GenericityFailure, NotAbelian
 from ethsim.linalg import SIGMA_X, SIGMA_Z, embed_site_operator, operator_norm
 from ethsim.scenario import build_model, resolve_scenario
 from ethsim.states import centralizer_of_state
@@ -340,6 +340,25 @@ class TestMinimalProjections:
     def test_rejects_non_abelian(self):
         with pytest.raises(NotAbelian):
             minimal_projections(full_matrix_algebra(2), 0)
+
+    def test_retry_takes_the_next_seed_after_a_degenerate_draw(self):
+        # span{P1, P2} on C^2 with the orthonormal basis B_0 = cP1 + sP2,
+        # B_1 = -sP1 + cP2 (c, s the cosine and sine of theta).  Seed 0's
+        # combination c_0 B_0 + c_1 B_1 has the Hermitian part
+        # (x0 c - x1 s) P1 + (x0 s + x1 c) P2, x = Re(c_0, c_1), whose two
+        # eigenvalues are equal when (x0 - x1) c = (x0 + x1) s.
+        p1, p2 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+        rng = np.random.default_rng(0)
+        x = (rng.standard_normal(2) + 1j * rng.standard_normal(2)).real
+        theta = np.arctan2(x[0] - x[1], x[0] + x[1])
+        c, s = np.cos(theta), np.sin(theta)
+        algebra = alg.StarAlgebra(2, np.stack([c * p1 + s * p2, -s * p1 + c * p2]))
+        with pytest.raises(GenericityFailure, match="1 levels"):
+            minimal_projections(algebra, 0)
+        projs = minimal_projections_retry(algebra, 0)
+        assert len(projs) == 2
+        for want in (p1, p2):
+            assert sum(np.abs(p - want).max() < 1e-12 for p in projs) == 1
 
 
 class TestContains:

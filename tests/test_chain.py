@@ -8,6 +8,7 @@ from ethsim.chain import (
     chain_initial_state,
     embed_system_probe,
     gate_cnot,
+    gate_cphase,
     gate_partial_swap,
     plus_density,
     system_density,
@@ -34,6 +35,10 @@ class TestGates:
                 src[2 * a + b] = 1.0
                 out = g @ src
                 assert abs(out[2 * a + (b ^ a)] - 1.0) < 1e-12
+
+    def test_cphase_at_pi_is_controlled_z(self):
+        g = gate_cphase(2, 2, np.pi)
+        np.testing.assert_allclose(g, np.diag([1.0, 1.0, 1.0, -1.0]), atol=1e-15)
 
     def test_partial_swap_unitary_and_interpolation(self):
         g0 = gate_partial_swap(2, 2, 0.0)

@@ -303,6 +303,31 @@ class TestChainProtocol:
             u = np.random.default_rng(seed).random(3)
             assert p.values == tuple(int(x >= np.cos(THETA) ** 2) for x in u)
 
+    def test_one_sector_step_records_zero_and_draws_nothing(self, monkeypatch):
+        # identity gates on a maximally mixed system: at t = 2 = horizon the
+        # reduced state is the system's, 1/2, one sector over the whole space
+        g = build_gate("identity", 2, 2)
+        init = chain_initial_state(np.eye(2, dtype=complex) / 2, 2, 2, 2)
+        m = ChainModel(2, 2, 2, [g] * 2, init)
+        assert len(m.detect_event_reduced(m.initial_state, 2).weights) == 1
+        drawn = []
+        make_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def random(self):
+                drawn.append(1)
+                return self.rng.random()
+
+        monkeypatch.setattr(indirect.np.random, "default_rng", CountingRng)
+        assert run_protocol(m, probe_pointer_quantity(2, 2), 1, seed=0).values == (0,)
+        assert len(drawn) == 1  # step 1 has no event: its pointer draw only
+        drawn.clear()
+        assert run_protocol(m, probe_pointer_quantity(2, 2), 2, seed=0).values == (0, 0)
+        assert len(drawn) == 1  # step 2 draws nothing
+
     def test_horizon_guard(self):
         m = self.make_model(horizon=2)
         with pytest.raises(OutOfRange):

@@ -19,7 +19,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ethsim import algebra as alg
-from ethsim.histories import _born_cdf
 from ethsim.linalg import (
     CLUSTER_TOL,
     DEFAULT_TOL,
@@ -33,25 +32,10 @@ from ethsim.linalg import (
     random_density,
     random_unitary,
 )
-from ethsim.states import State, inverse_cdf, positive_weights
+from ethsim.states import State, inverse_cdf, is_actual, positive_weights
 
 # ---------------------------------------------------------------------------
 # reference loops
-
-
-def ref_history_branch(weights, weight_eps, u):
-    """Sampled histories: running sums of the normalised positive weights."""
-    total = sum(w for w in weights if w > weight_eps)
-    acc = 0.0
-    last = None
-    for i, w in enumerate(weights):
-        if w <= weight_eps:
-            continue
-        acc += w / total
-        last = i
-        if u < acc:
-            return i
-    return last
 
 
 def ref_protocol_branch(weights, weight_eps, v):
@@ -122,19 +106,6 @@ weight_vectors = st.lists(weight_values, min_size=1, max_size=12)
 
 @settings(max_examples=300, deadline=None)
 @given(weight_vectors)
-def test_history_draw_matches_reference_on_boundaries(weights):
-    assume(any(w > WEIGHT_EPS for w in weights))
-    total = sum(w for w in weights if w > WEIGHT_EPS)
-    bounds = running([w / total for w in weights if w > WEIGHT_EPS])
-    born, last = _born_cdf(weights, WEIGHT_EPS)
-    for u in boundary_points(bounds):
-        assert int(inverse_cdf(born, u, last)) == ref_history_branch(
-            weights, WEIGHT_EPS, u
-        )
-
-
-@settings(max_examples=300, deadline=None)
-@given(weight_vectors)
 def test_scaled_draw_matches_protocol_and_recording_loops(weights):
     assume(any(w > WEIGHT_EPS for w in weights))
     masked, total, last = positive_weights(weights, WEIGHT_EPS)
@@ -144,6 +115,24 @@ def test_scaled_draw_matches_protocol_and_recording_loops(weights):
         assert got == ref_protocol_branch(weights, WEIGHT_EPS, v)
         assert got == ref_recording_branch(weights, WEIGHT_EPS, v)
         assert weights[got] > WEIGHT_EPS
+
+
+@pytest.mark.parametrize(
+    "weights, actual",
+    [
+        ([0.5, 0.5], True),
+        (np.array([0.5, 0.5]), True),
+        (np.array([1.0, WEIGHT_EPS]), False),
+        (np.array([0.4, 0.6, WEIGHT_EPS / 2]), True),
+        ([1.0], False),
+        ([], False),
+    ],
+)
+def test_actuality_rule_is_a_python_bool(weights, actual):
+    # _Branches.draws adds the rule's answer to an int
+    got = is_actual(weights, WEIGHT_EPS)
+    assert type(got) is bool
+    assert got == actual
 
 
 @given(st.lists(st.floats(0.0, WEIGHT_EPS), min_size=1, max_size=12))
@@ -178,16 +167,21 @@ def test_stacked_draw_matches_rows(rows, rnd):
 @settings(max_examples=300, deadline=None)
 @given(weight_vectors, st.lists(st.floats(0.0, 1.0), max_size=8))
 def test_broadcast_born_row_matches_scalar_draws(weights, uniforms):
-    """The node draw of sampled histories: one call on the normalised Born
-    row broadcast to one row per run picks each run's scalar branch."""
+    """The node draw of sampled histories: one call on the masked Born row
+    broadcast to one row per run, each uniform scaled by the total, picks
+    what the chain protocols' and record_event's loops pick."""
     assume(any(w > WEIGHT_EPS for w in weights))
-    born, last = _born_cdf(weights, WEIGHT_EPS)
+    masked, total, last = positive_weights(weights, WEIGHT_EPS)
     # every running sum exactly, one ulp either side, zero, and free uniforms
-    us = np.array(boundary_points(born.cumsum().tolist()) + uniforms)
-    batched = inverse_cdf(np.broadcast_to(born, (us.size, born.size)), us, last)
-    assert batched.tolist() == [int(inverse_cdf(born, u, last)) for u in us]
-    # a branch zeroed at or below WEIGHT_EPS is never chosen
-    assert all(weights[k] > WEIGHT_EPS for k in batched.tolist())
+    # scaled by the total
+    vs = boundary_points(masked.cumsum().tolist()) + [u * total for u in uniforms]
+    batched = inverse_cdf(np.broadcast_to(masked, (len(vs), masked.size)), np.array(vs), last)
+    for v, k in zip(vs, batched.tolist()):
+        assert k == int(inverse_cdf(masked, v, last))
+        assert k == ref_protocol_branch(weights, WEIGHT_EPS, v)
+        assert k == ref_recording_branch(weights, WEIGHT_EPS, v)
+        # a branch zeroed at or below WEIGHT_EPS is never chosen
+        assert weights[k] > WEIGHT_EPS
 
 
 # ---------------------------------------------------------------------------
@@ -234,23 +228,6 @@ def test_clusters_split_at_twice_and_merge_at_half_the_gap(sizes, base, seed):
     assert labels.tolist() == expect
     eig = hermitian_eig(h)
     assert [round(float(np.trace(p).real)) for p in eig.projections] == sizes
-
-
-def test_one_matrix_or_a_stack_gives_the_same_labels():
-    rng = np.random.default_rng(4)
-    mats = []
-    for _ in range(40):
-        sizes = rng.integers(1, 4, size=rng.integers(1, 4)).tolist()
-        levels, _ = planted_spectrum(sizes, float(rng.uniform(-1, 1)), 0.5, 2.0)
-        levels = np.pad(levels, (0, 9 - len(levels)), constant_values=5.0)
-        mats.append(planted_hermitian(levels, rng))
-    stack = np.stack(mats)
-    vals, vecs, labels = clustered_eigh(stack)
-    for m, v, w, lab in zip(mats, vals, vecs, labels):
-        v1, w1, lab1 = clustered_eigh(m)
-        assert lab.tolist() == lab1.tolist()
-        np.testing.assert_array_equal(v, v1)
-        np.testing.assert_array_equal(w, w1)
 
 
 def test_cluster_slices_cover_each_level_in_order():

@@ -10,7 +10,7 @@ import pytest
 from ethsim import algebra as alg
 from ethsim import histories as hist
 from ethsim.algebra import StarAlgebra
-from ethsim.chain import GATE_BUILDERS, ChainModel
+from ethsim.chain import GATE_BUILDERS, ChainModel, build_gate, embed_system_probe
 from ethsim.cli import _ndm_csv, main
 from ethsim.errors import ParseError, ValidationError
 from ethsim.indirect import MeasurementProtocol, NdmRun
@@ -397,6 +397,24 @@ class TestCliCommands:
         doc["thresholds"] = {"weight_eps": 0.4}
         path = tmp_path / "cnot_eps.json"
         path.write_text(json.dumps(doc))
+        assert main(["verify", "--scenario", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 8
+        assert out.endswith("verification OK\n")
+
+    def test_cphase_scenario_parses_builds_and_verifies(self, tmp_path, capsys):
+        # no bundled scenario uses cphase, so one is written here
+        gates = [
+            {"name": "cphase", "phi": 0.9, "control_states": [1], "readout_phi": 0.5},
+            {"name": "cphase"},
+        ]
+        path = tmp_path / "cphase.json"
+        path.write_text(json.dumps(dict(MINIMAL, gates=gates, initial_state="plus")))
+        model = build_model(parse_scenario(path))
+        first = build_gate("cphase", 2, 2, {"phi": 0.9, "control_states": [1], "readout_phi": 0.5})
+        np.testing.assert_allclose(
+            model.propagator(1, 0), embed_system_probe(first, 1, 2, 2, 2), atol=1e-15
+        )
         assert main(["verify", "--scenario", str(path)]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 8

@@ -530,3 +530,16 @@ class TestNearestProjection:
         p, d = nearest_projection_in_event(np.zeros((2, 2), dtype=complex), fam)
         assert d < 1e-12
         np.testing.assert_allclose(p, np.zeros((2, 2)), atol=1e-12)
+
+    def test_greedy_rule_beyond_twenty_branches(self):
+        # 22 branches: past the exhaustive search's 20, so the greedy rule
+        # decides, on q = exp(i eps H) (five branches) exp(-i eps H)
+        fam = diag_family(22)
+        target = sum(fam.projections[k] for k in (0, 3, 7, 12, 21))
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((22, 22)) + 1j * rng.standard_normal((22, 22))
+        vals, vecs = np.linalg.eigh((g + g.conj().T) / 2)
+        u = vecs @ np.diag(np.exp(1e-3j * vals)) @ vecs.conj().T
+        p, d = nearest_projection_in_event(u @ target @ u.conj().T, fam)
+        assert np.array_equal(p, target)
+        assert d < 0.1
